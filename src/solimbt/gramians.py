@@ -71,11 +71,10 @@ def _solve_pair(real, rhs_c, rhs_o, flavor, band=None, window=None,
         P, Q, info = lyapunov.solve_lyap_sign_dual(real.calE, real.calA,
                                                    rhs_c, rhs_o, **opts)
     elif solver == "projection":
-        fl = {"infinite": "infinite", "band": "band", "window": "window"}[flavor]
-        P, ic = lyapunov.solve_lyap_projection(real, flavor=fl,
+        P, ic = lyapunov.solve_lyap_projection(real, flavor=flavor,
                                                side="controllability",
                                                band=band, window=window, **opts)
-        Q, io = lyapunov.solve_lyap_projection(real, flavor=fl,
+        Q, io = lyapunov.solve_lyap_projection(real, flavor=flavor,
                                                side="observability",
                                                band=band, window=window, **opts)
         info = {"controllability": ic, "observability": io}

@@ -1,9 +1,11 @@
 """Model bundles on disk: Matrix Market matrices plus a JSON header.
 
 A bundle directory holds ``M.mtx``, ``E.mtx``, ``K.mtx`` (coordinate format,
-usually sparse), ``B.mtx``, ``Cp.mtx``, ``Cv.mtx`` (array format) and
-``system.json`` with ``{n, m, p, name}``.  Values are written with 17
-significant digits so a write/read cycle reproduces every float bit-exactly.
+nonzero entries in row-major order), ``B.mtx``, ``Cp.mtx``, ``Cv.mtx`` (array
+format) and ``system.json`` with ``{n, m, p, name}``.  Values are written with
+17 significant digits so a write/read cycle reproduces every float
+bit-exactly.  ``M``, ``E`` and ``K`` load as ``scipy.sparse.csc_array``, so
+shifted solves with a loaded model stay sparse.
 """
 
 import json
@@ -23,13 +25,17 @@ _DENSE = ("B", "Cp", "Cv")
 def save_bundle(directory, sys, name="model"):
     """Write a second-order system as a model bundle.
 
-    Deterministic: identical systems produce identical bytes.
+    Deterministic: identical systems produce identical bytes, whether
+    ``M``, ``E`` and ``K`` are dense or sparse.
     """
     try:
         os.makedirs(directory, exist_ok=True)
         for key, A in (("M", sys.M), ("E", sys.E), ("K", sys.K)):
+            A = scipy.sparse.csr_array(A, copy=True)
+            A.sum_duplicates()  # canonical: nonzeros in row-major order
+            A.eliminate_zeros()
             scipy.io.mmwrite(os.path.join(directory, key + ".mtx"),
-                             scipy.sparse.coo_matrix(A), precision=17)
+                             A.tocoo(), precision=17)
         for key, A in (("B", sys.B_u), ("Cp", sys.C_p), ("Cv", sys.C_v)):
             scipy.io.mmwrite(os.path.join(directory, key + ".mtx"),
                              np.asarray(A), precision=17)
@@ -44,6 +50,9 @@ def save_bundle(directory, sys, name="model"):
 def load_bundle(directory):
     """Read a model bundle back; returns ``(system, name)``.
 
+    ``M``, ``E`` and ``K`` in coordinate format (as written by
+    :func:`save_bundle`) come back as ``scipy.sparse.csc_array``.
+
     Raises
     ------
     IoError
@@ -57,9 +66,9 @@ def load_bundle(directory):
         mats = {}
         for key in _SPARSE + _DENSE:
             A = scipy.io.mmread(os.path.join(directory, key + ".mtx"))
-            if scipy.sparse.issparse(A):
+            if key in _DENSE and scipy.sparse.issparse(A):
                 A = A.toarray()
-            mats[key] = np.asarray(A, dtype=float)
+            mats[key] = A
     except (OSError, ValueError) as exc:
         raise IoError(f"cannot read bundle from {directory}: {exc}") from exc
     sys = make_second_order(mats["M"], mats["E"], mats["K"],

@@ -11,12 +11,19 @@ Reduction works on equivalent first-order realizations
 either the first companion form (free invertible coupling block ``J``) or,
 for symmetric positive definite ``M, E, K``, a strictly dissipative
 realization whose symmetric part is definite.
+
+``M``, ``E`` and ``K`` may be sparse.  Shifted solves with
+``s^2 M + s E + K`` (transfer evaluation, hybrid pre-reduction) then use
+SuperLU; the first-order realizations and everything built on them are
+dense.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as spla
+import scipy.sparse
+import scipy.sparse.linalg as sla
 
 from .errors import (
     DimensionMismatch,
@@ -35,26 +42,65 @@ STRICTLY_DISSIPATIVE = "strictly_dissipative"
 GENERIC = "generic"
 
 
-def _as_matrix(A, name, dtype=float):
-    A = np.atleast_2d(np.asarray(A, dtype=dtype))
+def _as_matrix(A, name, dtype=float, sparse=False):
+    if sparse:
+        A = scipy.sparse.csc_array(A, dtype=dtype, copy=True)
+        A.sum_duplicates()  # in place, hence the copy
+        values = A.data
+    else:
+        A = values = np.atleast_2d(np.asarray(A, dtype=dtype))
     if A.ndim != 2:
         raise DimensionMismatch(f"{name} must be a matrix, got ndim={A.ndim}")
-    if not np.all(np.isfinite(A)):
+    if not np.all(np.isfinite(values)):
         raise InvalidParams(f"{name} contains non-finite entries")
     return A
+
+
+def _dense(sys):
+    """``sys`` with dense, C-ordered ``M, E, K`` (the layout of every dense
+    system, so results match bit for bit); ``sys`` itself when already dense."""
+    if not scipy.sparse.issparse(sys.M):
+        return sys
+    return replace(sys, **{k: getattr(sys, k).toarray(order="C") for k in "MEK"})
+
+
+def _mass_rcond(M):
+    """Estimated reciprocal 1-norm condition number of ``M``; 0 if an LU
+    factorization finds it exactly singular.
+
+    Sparse ``M``: SuperLU and ``onenormest`` of the inverse.  Dense ``M``:
+    LAPACK ``getrf`` and ``gecon``.  Both use the one-column Hager-Higham
+    estimator, which is deterministic.
+    """
+    if scipy.sparse.issparse(M):
+        try:
+            lu = sla.splu(M)
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            return 0.0
+        inv = sla.LinearOperator(M.shape, matvec=lu.solve, dtype=M.dtype,
+                                 rmatvec=lambda x: lu.solve(x, trans="T"))
+        return 1.0 / (sla.norm(M, 1) * sla.onenormest(inv, t=1))
+    getrf, gecon = spla.get_lapack_funcs(("getrf", "gecon"), (M,))
+    lu, _, info = getrf(M)
+    if info > 0:
+        return 0.0
+    rcond, _ = gecon(lu, spla.norm(M, 1), norm="1")
+    return float(rcond)
 
 
 @dataclass
 class SecondOrderSystem:
     """Container for the matrices of a second-order system.
 
-    Treat instances as immutable; all consumers rely on the matrices not
-    changing after construction.
+    ``M``, ``E`` and ``K`` are either all dense arrays or all
+    ``scipy.sparse.csc_array`` (model bundles load sparse); ``B_u``, ``C_p``
+    and ``C_v`` are always dense.  Treat instances as immutable; all
+    consumers rely on the matrices not changing after construction.
     """
 
-    M: np.ndarray
-    E: np.ndarray
-    K: np.ndarray
+    M: np.ndarray | scipy.sparse.csc_array
+    E: np.ndarray | scipy.sparse.csc_array
+    K: np.ndarray | scipy.sparse.csc_array
     B_u: np.ndarray
     C_p: np.ndarray
     C_v: np.ndarray
@@ -129,16 +175,26 @@ class StabilityReport:
 def make_second_order(M, E, K, B_u, C_p, C_v):
     """Validate and assemble a :class:`SecondOrderSystem`.
 
+    ``M``, ``E`` and ``K`` may be dense or sparse; if any of them is sparse,
+    all three are stored as ``scipy.sparse.csc_array``.  Finiteness is
+    checked on the stored entries.
+
     Raises
     ------
     DimensionMismatch
         If the shapes are inconsistent.
+    InvalidParams
+        If an entry is not finite.
     SingularMass
-        If the smallest singular value of ``M`` is below ``1e-14 ||M||_F``.
+        If an LU factorization of ``M`` (SuperLU when sparse, LAPACK
+        ``getrf`` when dense) finds it exactly singular, or the estimated
+        reciprocal 1-norm condition number ``1 / (||M||_1 ||M^{-1}||_1)``
+        is below ``1e-14``.
     """
-    M = _as_matrix(M, "M")
-    E = _as_matrix(E, "E")
-    K = _as_matrix(K, "K")
+    sparse = any(scipy.sparse.issparse(A) for A in (M, E, K))
+    M = _as_matrix(M, "M", sparse=sparse)
+    E = _as_matrix(E, "E", sparse=sparse)
+    K = _as_matrix(K, "K", sparse=sparse)
     B_u = _as_matrix(B_u, "B_u")
     C_p = _as_matrix(C_p, "C_p")
     C_v = _as_matrix(C_v, "C_v")
@@ -152,9 +208,9 @@ def make_second_order(M, E, K, B_u, C_p, C_v):
         raise DimensionMismatch("C_p and C_v must have n columns")
     if C_p.shape[0] != C_v.shape[0]:
         raise DimensionMismatch("C_p and C_v must have the same number of rows")
-    smin = spla.svdvals(M)[-1]
-    if smin < 1e-14 * spla.norm(M):
-        raise SingularMass(f"smallest singular value {smin:.3e} of M below threshold")
+    rcond = _mass_rcond(M)
+    if rcond < 1e-14:
+        raise SingularMass(f"reciprocal condition number {rcond:.3e} of M below 1e-14")
     return SecondOrderSystem(M, E, K, B_u, C_p, C_v)
 
 
@@ -181,6 +237,7 @@ def first_companion(sys, j="identity"):
     SingularJ
         If the supplied coupling block is singular.
     """
+    sys = _dense(sys)
     n = sys.n
     if isinstance(j, str):
         if j == "identity":
@@ -219,7 +276,7 @@ def dissipativity_shift_bound(sys):
     ``0 < gamma < bound`` yields a realization with symmetric positive
     definite ``calE`` and negative definite symmetric part of ``calA``.
     """
-    n = sys.n
+    sys = _dense(sys)
     inner = sys.M + 0.25 * sys.E @ spla.solve(sys.K, sys.E, assume_a="sym")
     # E and inner are SPD, so the product spectrum matches the symmetric
     # generalized problem E v = lambda inner v.
@@ -248,6 +305,7 @@ def strictly_dissipative(sys, gamma=None):
     GammaOutOfRange
         If an explicit shift lies outside the open admissible interval.
     """
+    sys = _dense(sys)
     _check_spd(sys.M, "M")
     _check_spd(sys.E, "E")
     _check_spd(sys.K, "K")
@@ -274,6 +332,7 @@ def dissipative_backtransform_matrix(sys, gamma):
     realization, then ``T^T Qd T`` solves it for the companion form, with
     ``T = [[K, gamma I], [gamma M, I]]``.
     """
+    sys = _dense(sys)
     n = sys.n
     return np.block([[sys.K, gamma * np.eye(n)],
                      [gamma * sys.M, np.eye(n)]])
@@ -291,7 +350,80 @@ def gramian_backtransform(Z, sys, gamma):
     return T.T @ Z
 
 
-def eval_transfer(obj, s):
+def _common_pattern(mats):
+    """CSC structure of ``sum(mats)`` and the entries of each matrix on it.
+
+    Returns ``(indptr, indices, datas)``: for any scalars ``c_k``,
+    ``csc_array((sum(c_k * datas[k]), indices, indptr))`` is
+    ``sum(c_k * mats[k])``.
+    """
+    coos = [scipy.sparse.coo_array(A) for A in mats]
+    rows = np.concatenate([c.row for c in coos])
+    cols = np.concatenate([c.col for c in coos])
+    pattern = scipy.sparse.csc_array((np.ones(rows.size), (rows, cols)),
+                                     shape=mats[0].shape)
+    pattern.sum_duplicates()
+    n_rows = pattern.shape[0]
+    col_of = np.repeat(np.arange(pattern.shape[1]), np.diff(pattern.indptr))
+    keys = col_of * n_rows + pattern.indices  # ascending in CSC order
+    datas = []
+    for c in coos:
+        d = np.zeros(pattern.nnz)
+        np.add.at(d, np.searchsorted(keys, c.col * n_rows + c.row), c.data)
+        datas.append(d)
+    return pattern.indptr, pattern.indices, datas
+
+
+def _shifted_solves(sys, points, dual=False):
+    """The one solver of ``A(s) = s^2 M + s E + K`` for a second-order system.
+
+    Yields, per point ``s``, ``X = A(s)^{-1} B_u``, or the pair ``(X, D)``
+    with the dual directions ``D = A(s)^{-H} (C_p + s C_v)^H`` when
+    ``dual``.  Yields ``None`` where ``A(s)`` is singular or a solution is
+    not finite; callers raise their own typed error, and nothing warns.
+
+    Sparse ``M, E, K``: the CSC pattern of ``M + E + K`` and the entries of
+    each matrix on it are built once, so a point costs one vector
+    combination and one SuperLU factorization.  Dense: ``scipy.linalg.solve``
+    for ``X`` alone (it exploits banded structure), one LAPACK LU shared by
+    both solves when ``dual``.
+    """
+    B = sys.B_u.astype(complex)
+    sparse = scipy.sparse.issparse(sys.M)
+    if sparse:
+        indptr, indices, (dM, dE, dK) = _common_pattern((sys.M, sys.E, sys.K))
+        A = scipy.sparse.csc_array((dK.astype(complex), indices, indptr),
+                                   shape=sys.M.shape)
+    for s in points:
+        D = None
+        try:
+            if sparse:
+                A.data = s * s * dM + s * dE + dK
+                lu = sla.splu(A)
+                X = lu.solve(B)
+                if dual:
+                    D = lu.solve((sys.C_p + s * sys.C_v).conj().T, trans="H")
+            elif dual:
+                A = s * s * sys.M + s * sys.E + sys.K
+                getrf, = spla.get_lapack_funcs(("getrf",), (A,))
+                lu, piv, info = getrf(A)  # what lu_factor runs, minus its warning
+                if info > 0:
+                    raise spla.LinAlgError(f"exactly zero pivot {info}")
+                X = spla.lu_solve((lu, piv), B)
+                D = spla.lu_solve((lu, piv), (sys.C_p + s * sys.C_v).conj().T,
+                                  trans=2)
+            else:
+                X = spla.solve(s * s * sys.M + s * sys.E + sys.K, B)
+        except (spla.LinAlgError, RuntimeError):  # RuntimeError: SuperLU
+            yield None
+            continue
+        if not (np.all(np.isfinite(X)) and (D is None or np.all(np.isfinite(D)))):
+            yield None
+        else:
+            yield (X, D) if dual else X
+
+
+def eval_transfer(obj, s, skip_poles=False):
     """Evaluate the transfer function at one or several complex points.
 
     Parameters
@@ -300,6 +432,9 @@ def eval_transfer(obj, s):
         :class:`SecondOrderSystem` or :class:`FirstOrderRealization`.
     s
         Complex scalar or 1d array of points.
+    skip_poles
+        Return a NaN block at points where the evaluation fails instead of
+        raising.
 
     Returns
     -------
@@ -313,29 +448,27 @@ def eval_transfer(obj, s):
     """
     pts = np.atleast_1d(np.asarray(s, dtype=complex))
     scalar = np.ndim(s) == 0
+    out = np.full((pts.size, obj.p, obj.m), np.nan, dtype=complex)
     # exactly singular points produce inf/nan instead of LinAlgError on some
     # LAPACK paths; silence the numpy noise and catch them afterwards
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         if isinstance(obj, SecondOrderSystem):
-            out = np.empty((pts.size, obj.p, obj.m), dtype=complex)
-            for i, sk in enumerate(pts):
-                A = sk * sk * obj.M + sk * obj.E + obj.K
-                try:
-                    X = spla.solve(A, obj.B_u.astype(complex))
-                except spla.LinAlgError as exc:
-                    raise SingularAtFrequency(f"s={sk} is a pole") from exc
-                out[i] = (obj.C_p + sk * obj.C_v) @ X
+            for i, (sk, X) in enumerate(zip(pts, _shifted_solves(obj, pts))):
+                if X is not None:
+                    out[i] = (obj.C_p + sk * obj.C_v) @ X
         else:
-            out = np.empty((pts.size, obj.p, obj.m), dtype=complex)
+            B = obj.calB.astype(complex)
             for i, sk in enumerate(pts):
                 try:
-                    X = spla.solve(sk * obj.calE - obj.calA,
-                                   obj.calB.astype(complex))
-                except spla.LinAlgError as exc:
-                    raise SingularAtFrequency(f"s={sk} is a pole") from exc
+                    X = spla.solve(sk * obj.calE - obj.calA, B)
+                except spla.LinAlgError:
+                    continue
                 out[i] = obj.calC @ X
-    if not np.all(np.isfinite(out)):
-        raise SingularAtFrequency("transfer evaluation overflowed near a pole")
+    bad = ~np.all(np.isfinite(out), axis=(1, 2))
+    if np.any(bad):
+        if not skip_poles:
+            raise SingularAtFrequency(f"s={pts[bad][0]} is (near) a pole")
+        out[bad] = np.nan
     return out[0] if scalar else out
 
 

@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import solimbt as slt
 from solimbt import errors
@@ -27,8 +28,11 @@ def test_bundle_roundtrip_is_bit_exact(tmp_path):
     loaded, name = slt.load_bundle(tmp_path / "a")
     assert name == "specimen"
     for orig, back in ((sys_a.M, loaded.M), (sys_a.E, loaded.E),
-                       (sys_a.K, loaded.K), (sys_a.B_u, loaded.B_u),
-                       (sys_a.C_p, loaded.C_p), (sys_a.C_v, loaded.C_v)):
+                       (sys_a.K, loaded.K)):
+        assert scipy.sparse.issparse(back)
+        assert np.array_equal(orig, back.toarray())
+    for orig, back in ((sys_a.B_u, loaded.B_u), (sys_a.C_p, loaded.C_p),
+                       (sys_a.C_v, loaded.C_v)):
         assert np.array_equal(orig, back)
     # saving the same system twice produces identical bytes
     slt.save_bundle(tmp_path / "b", sys_a, name="specimen")
@@ -36,6 +40,26 @@ def test_bundle_roundtrip_is_bit_exact(tmp_path):
                   "system.json"):
         assert (tmp_path / "a" / fname).read_bytes() == \
                (tmp_path / "b" / fname).read_bytes()
+
+
+def test_bundle_bytes_are_canonical(tmp_path):
+    # a dense save, a sparse load and a second save give the same bytes,
+    # also for nonsymmetric matrices, whose entry order could differ
+    rng = np.random.default_rng(3)
+    n = 4
+    mats = [rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.6) + 3 * np.eye(n)
+            for _ in range(3)]
+    assert all(not np.array_equal(A, A.T) for A in mats)
+    sys_a = slt.make_second_order(*mats, rng.standard_normal((n, 1)),
+                                  rng.standard_normal((2, n)), np.zeros((2, n)))
+    slt.save_bundle(tmp_path / "dense", sys_a)
+    loaded, _ = slt.load_bundle(tmp_path / "dense")
+    assert scipy.sparse.issparse(loaded.M)
+    slt.save_bundle(tmp_path / "sparse", loaded)
+    for fname in ("M.mtx", "E.mtx", "K.mtx", "B.mtx", "Cp.mtx", "Cv.mtx",
+                  "system.json"):
+        assert (tmp_path / "dense" / fname).read_bytes() == \
+               (tmp_path / "sparse" / fname).read_bytes()
 
 
 def test_bundle_errors(tmp_path):
@@ -62,7 +86,9 @@ def test_generate_deterministic(tmp_path):
                (tmp_path / "m2" / fname).read_bytes()
     loaded, _ = slt.load_bundle(out1)
     ref = slt.generate_chain(12)
-    assert np.array_equal(loaded.K, ref.K)
+    for back in (loaded.M, loaded.E, loaded.K):
+        assert scipy.sparse.issparse(back)
+    assert np.array_equal(loaded.K.toarray(), ref.K)
 
 
 # -------------------------------------------------------------------- reduce

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as spla
+import scipy.sparse
 from numpy.testing import assert_allclose
 
 import solimbt as slt
@@ -53,11 +54,21 @@ def test_hybrid_prereduce_pole_and_validation():
     undamped = slt.make_second_order([[1.0]], [[0.0]], [[1.0]], [[1.0]],
                                      [[1.0]], [[0.0]])
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error")
         with pytest.raises(errors.SingularShiftedSystem):
             slt.hybrid_prereduce(undamped, np.array([1.0]))  # pole at +-i
     with pytest.raises(errors.InvalidParams):
         slt.hybrid_prereduce(undamped, np.array([]))
+
+
+def test_hybrid_prereduce_pole_sparse():
+    sp = scipy.sparse.csc_array
+    undamped = slt.make_second_order(sp([[1.0]]), sp([[0.0]]), sp([[1.0]]),
+                                     [[1.0]], [[1.0]], [[0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.SingularShiftedSystem):
+            slt.hybrid_prereduce(undamped, np.array([0.5, 1.0]))
 
 
 def test_config_validation():
@@ -196,6 +207,22 @@ def test_frequency_report_skips_poles():
     assert np.isfinite(rep.orig_norm[1:]).all()
 
 
+def test_frequency_report_skips_poles_sparse():
+    # logspace(-1, 1, 3) puts omega = 1 exactly on the pole
+    sp = scipy.sparse.csc_array
+    undamped = [[1.0]], [[0.0]], [[1.0]], [[1.0]], [[1.0]], [[0.0]]
+    dense = slt.make_second_order(*undamped)
+    sparse = slt.make_second_order(*(sp(A) for A in undamped[:3]), *undamped[3:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reps = [slt.frequency_error_report(orig, dense, 0.1, 10.0, 3)
+                for orig in (dense, sparse)]
+    for rep in reps:
+        assert rep.skipped == [1]
+        assert np.isnan(rep.orig_norm[1]) and np.isnan(rep.abs_err[1])
+    assert np.array_equal(reps[0].orig_norm, reps[1].orig_norm, equal_nan=True)
+
+
 def test_frequency_report_zero_reference():
     silent = slt.make_second_order([[1.0]], [[1.0]], [[1.0]], [[1.0]],
                                    [[0.0]], [[0.0]])
@@ -212,6 +239,11 @@ def test_frequency_report_threads(monkeypatch):
     threaded = slt.frequency_error_report(sys, rom, 0.01, 1.0, 30)
     assert np.array_equal(serial.abs_err, threaded.abs_err)
     assert serial.global_max_abs == threaded.global_max_abs
+    # the batched sweep does the arithmetic of a point-by-point loop
+    ref = [np.linalg.norm(slt.eval_transfer(sys, 1j * w)
+                          - slt.eval_transfer(rom.system, 1j * w), 2)
+           for w in serial.grid]
+    assert np.array_equal(serial.abs_err, ref)
 
 
 def test_time_report():
@@ -238,3 +270,60 @@ def test_time_report_divergence_propagates():
     t = np.arange(0.0, 800.0, 0.5)
     with pytest.raises(errors.NonFiniteState):
         slt.time_error_report(stable, runaway, slt.StepSignal(), t)
+
+
+# ------------------------------------------------- sparse-loaded model bundles
+
+@pytest.fixture(scope="module")
+def chain_pair(tmp_path_factory):
+    """The n=200 chain, dense as generated and sparse as loaded from a bundle."""
+    dense = slt.generate_chain(200)
+    path = tmp_path_factory.mktemp("bundle") / "chain"
+    slt.save_bundle(path, dense)
+    sparse, _ = slt.load_bundle(path)
+    assert all(scipy.sparse.issparse(A) for A in (sparse.M, sparse.E, sparse.K))
+    return dense, sparse
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def test_sparse_bundle_responses_match_dense(chain_pair):
+    dense, sparse = chain_pair
+    pts = 1j * np.logspace(-3, 1, 60)
+    assert _rel(slt.eval_transfer(sparse, pts), slt.eval_transfer(dense, pts)) <= 1e-12
+
+    omegas = np.array([0.01, 0.05, 0.1, 0.3, 1.0])
+    pre_d, _ = slt.hybrid_prereduce(dense, omegas)
+    pre_s, _ = slt.hybrid_prereduce(sparse, omegas)
+    assert pre_s.n == pre_d.n < dense.n
+    H = slt.eval_transfer(dense, 1j * omegas)
+    assert _rel(slt.eval_transfer(pre_s, 1j * omegas), H) <= 1e-12
+
+    rep_d = slt.frequency_error_report(dense, pre_d, 1e-3, 10.0, 80)
+    rep_s = slt.frequency_error_report(sparse, pre_d, 1e-3, 10.0, 80)
+    assert rep_s.skipped == rep_d.skipped == []
+    assert _rel(rep_s.orig_norm, rep_d.orig_norm) <= 1e-12
+    assert np.max(np.abs(rep_s.abs_err - rep_d.abs_err)) <= 1e-12 * np.max(rep_d.orig_norm)
+
+
+def test_sparse_bundle_dense_pipeline_unchanged(chain_pair):
+    # reduce without hybrid, simulate and check_stability densify the model
+    # where they start, so a sparse-loaded bundle gives the dense results
+    dense, sparse = chain_pair
+    configs = (dict(method="bt", fixed_order=6),
+               dict(method="bt", fixed_order=6, alpha=0.05, realization="dissipative"))
+    for kwargs in configs:
+        rom_d = slt.reduce(dense, slt.ReductionConfig(**kwargs))
+        rom_s = slt.reduce(sparse, slt.ReductionConfig(**kwargs))
+        for name in ("M", "E", "K", "B_u", "C_p", "C_v"):
+            assert np.array_equal(getattr(rom_s.system, name),
+                                  getattr(rom_d.system, name))
+        assert np.array_equal(rom_s.sigma, rom_d.sigma)
+    t = np.linspace(0.0, 20.0, 201)
+    traj_d = slt.simulate(dense, slt.StepSignal(), t)
+    traj_s = slt.simulate(sparse, slt.StepSignal(), t)
+    assert np.array_equal(traj_s.outputs, traj_d.outputs)
+    stab_d, stab_s = slt.check_stability(dense), slt.check_stability(sparse)
+    assert stab_s.is_c_stable and stab_s.max_real_part == stab_d.max_real_part

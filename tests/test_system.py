@@ -1,8 +1,11 @@
 """Second-order containers, realizations, simulation and stability checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as spla
+import scipy.sparse
 from numpy.testing import assert_allclose
 
 import solimbt as slt
@@ -82,6 +85,23 @@ def test_singular_mass_rejected():
     with pytest.raises(errors.SingularMass):
         slt.make_second_order(M, np.eye(2), np.eye(2), np.ones((2, 1)),
                               np.ones((1, 2)), np.zeros((1, 2)))
+
+
+def test_singular_mass_factorization_check():
+    # exactly singular (zero pivot) and numerically singular masses, dense
+    # and sparse; a well-conditioned sparse mass passes and stays sparse
+    ones = np.ones((2, 1))
+    for diag in ([1.0, 0.0], [1.0, 1e-20]):
+        for M in (np.diag(diag), scipy.sparse.diags_array(diag)):
+            with pytest.raises(errors.SingularMass):
+                slt.make_second_order(M, np.eye(2), np.eye(2), ones,
+                                      ones.T, np.zeros((1, 2)))
+    sys = slt.make_second_order(scipy.sparse.diags_array([1.0, 1e-3]), np.eye(2),
+                                np.eye(2), ones, ones.T, np.zeros((1, 2)))
+    assert all(scipy.sparse.issparse(A) for A in (sys.M, sys.E, sys.K))
+    bad = scipy.sparse.csc_array(np.diag([1.0, np.inf]))
+    with pytest.raises(errors.InvalidParams):
+        slt.make_second_order(np.eye(2), bad, np.eye(2), ones, ones.T, ones.T)
 
 
 def test_companion_structure():
@@ -210,6 +230,21 @@ def test_eval_transfer_at_pole():
                                 [[1.0]], [[0.0]])
     with pytest.raises(errors.SingularAtFrequency):
         slt.eval_transfer(sys, 1j)
+
+
+def test_eval_transfer_at_pole_sparse():
+    # the same oscillator with sparse matrices: SuperLU meets an exactly
+    # singular factor, and the typed error comes without a warning
+    sp = scipy.sparse.csc_array
+    sys = slt.make_second_order(sp([[1.0]]), sp([[0.0]]), sp([[1.0]]), [[1.0]],
+                                [[1.0]], [[0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.SingularAtFrequency):
+            slt.eval_transfer(sys, 1j)
+        H = slt.eval_transfer(sys, np.array([0.5j, 1j]), skip_poles=True)
+    assert H[0, 0, 0] == pytest.approx(1.0 / 0.75)
+    assert np.isnan(H[1]).all()
 
 
 def test_simulate_scalar_step():
