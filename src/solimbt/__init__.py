@@ -56,6 +56,7 @@ from .pipeline import (
     hybrid_prereduce,
     reduce,
     time_error_report,
+    trajectory_errors,
 )
 from .system import (
     CustomSignal,

@@ -93,12 +93,30 @@ def select_order(sigma, tol=1e-4, fixed_r=None):
     return int(ok[0]) + 1 if ok.size else sigma.size
 
 
-def _truncated_svd(prod, r):
-    U, s, Vh = spla.svd(prod, full_matrices=False)
-    if r > s.size or s[r - 1] < 1e-14 * s[0]:
+def _balanced_pairs(L, X, R, order_tol=1e-4, fixed_r=None):
+    """The square-root balancing SVD of ``L^T X R``: ``(L U_r, sigma, R V_r)``.
+
+    ``sigma`` holds all singular values; the order ``r`` is chosen from them
+    by :func:`select_order`, and the leading ``r`` singular vector pairs are
+    returned lifted back through the factors.  Signs are canonical: the
+    largest-magnitude entry of each column of ``L U_r`` is positive, and the
+    column of ``R V_r`` flips with it.  The lifted vectors do not depend on
+    the sign or rotation freedom of the Gramian factors, so a rounding-level
+    change of the model cannot flip a basis vector of the reduced model.
+
+    Raises
+    ------
+    RankDeficient
+        If ``sigma[r - 1]`` is below ``1e-14 sigma[0]``.
+    """
+    U, s, Vh = spla.svd(L.T @ X @ R, full_matrices=False)
+    r = select_order(s, tol=order_tol, fixed_r=fixed_r)
+    if s[r - 1] < 1e-14 * s[0]:
         raise RankDeficient(
             f"requested order {r} exceeds the numerical rank of the balancing product")
-    return U[:, :r], s, Vh[:r].T
+    LU, RV = L @ U[:, :r], R @ Vh[:r].T
+    sign = np.where(LU[np.argmax(np.abs(LU), axis=0), np.arange(r)] < 0, -1.0, 1.0)
+    return LU * sign, s, RV * sign
 
 
 def second_order_projectors(parts, J, M, formula, order_tol=1e-4, fixed_r=None):
@@ -140,50 +158,36 @@ def second_order_projectors(parts, J, M, formula, order_tol=1e-4, fixed_r=None):
             raise SingularM("mass matrix solve failed in projector assembly")
         return out
 
-    if formula == "so":
-        sp = spla.svdvals(Lp.T @ J @ Rp)
-        sv = spla.svdvals(Lv.T @ M @ Rv)
-        r = select_order(sp, tol=order_tol, fixed_r=fixed_r)
-        Up, _, Vp = _truncated_svd(Lp.T @ J @ Rp, r)
-        Uv, _, Vv = _truncated_svd(Lv.T @ M @ Rv, r)
-        sqp = 1.0 / np.sqrt(sp[:r])
-        sqv = 1.0 / np.sqrt(sv[:r])
-        return BalancingResult(
-            formula=formula, r=r, sigma=sp,
-            W_p=(Lp @ Up) * sqp, T_p=(Rp @ Vp) * sqp,
-            W_v=(Lv @ Uv) * sqv, T_v=(Rv @ Vv) * sqv)
-
-    products = {
-        "v": (Lv.T @ M @ Rv,),
-        "fv": (Lp.T @ J @ Rp,),
-        "vpm": (Lp.T @ J @ Rv,),
-        "pm": (Lp.T @ J @ Rp,),
-        "pv": (Lv.T @ M @ Rp,),
-        "vp": (Lp.T @ J @ Rv, Lv.T @ M @ Rp),
-        "p": (Lp.T @ J @ Rp, Lv.T @ M @ Rv),
+    # (left factor, middle, right factor) of the product that gives sigma
+    # and T, and of the one that gives W where it differs
+    first, second = {
+        "v": ((Lv, M, Rv), None),
+        "fv": ((Lp, J, Rp), None),
+        "vpm": ((Lp, J, Rv), None),
+        "pm": ((Lp, J, Rp), None),
+        "pv": ((Lv, M, Rp), None),
+        "vp": ((Lp, J, Rv), (Lv, M, Rp)),
+        "p": ((Lp, J, Rp), (Lv, M, Rv)),
+        "so": ((Lp, J, Rp), (Lv, M, Rv)),
     }[formula]
-    sigma = spla.svdvals(products[0])
-    r = select_order(sigma, tol=order_tol, fixed_r=fixed_r)
-    U, _, V = _truncated_svd(products[0], r)
-    if len(products) == 2:
-        U, _, _ = _truncated_svd(products[1], r)
+    LU, sigma, RV = _balanced_pairs(*first, order_tol, fixed_r)
+    r = LU.shape[1]
     sq = 1.0 / np.sqrt(sigma[:r])
-
-    if formula == "v":
-        W, T = (Lv @ U) * sq, (Rv @ V) * sq
+    if formula == "so":
+        LUv, sv, RVv = _balanced_pairs(*second, fixed_r=r)
+        sqv = 1.0 / np.sqrt(sv[:r])
+        return BalancingResult(formula=formula, r=r, sigma=sigma,
+                               W_p=LU * sq, T_p=RV * sq,
+                               W_v=LUv * sqv, T_v=RVv * sqv)
+    if second is not None:
+        LU, _, _ = _balanced_pairs(*second, fixed_r=r)
+    T = RV * sq
+    if formula in ("vpm", "pm"):
+        W = minvt(J.T @ LU) * sq
     elif formula == "fv":
-        T = (Rp @ V) * sq
         W = T
-    elif formula == "vpm":
-        W, T = minvt(J.T @ (Lp @ U)) * sq, (Rv @ V) * sq
-    elif formula == "pm":
-        W, T = minvt(J.T @ (Lp @ U)) * sq, (Rp @ V) * sq
-    elif formula == "pv":
-        W, T = (Lv @ U) * sq, (Rp @ V) * sq
-    elif formula == "vp":
-        W, T = (Lv @ U) * sq, (Rv @ V) * sq
-    else:  # "p"
-        W, T = (Lv @ U) * sq, (Rp @ V) * sq
+    else:
+        W = LU * sq
     return BalancingResult(formula=formula, r=r, sigma=sigma, W=W, T=T)
 
 
@@ -252,13 +256,11 @@ def first_order_bt(real, order_tol=1e-4, fixed_r=None, solver_options=None):
                                    IndefiniteRhs.definite(real.calC.T), **opts)
     R = P.cholesky_like()
     L = Q.cholesky_like()
-    prod = L.T @ real.calE @ R
-    sigma = spla.svdvals(prod)
-    r = select_order(sigma, tol=order_tol, fixed_r=fixed_r)
-    U, _, V = _truncated_svd(prod, r)
+    LU, sigma, RV = _balanced_pairs(L, real.calE, R, order_tol, fixed_r)
+    r = LU.shape[1]
     sq = 1.0 / np.sqrt(sigma[:r])
-    W = (L @ U) * sq
-    T = (R @ V) * sq
+    W = LU * sq
+    T = RV * sq
     rom = FirstOrderRealization(
         W.T @ real.calE @ T, W.T @ real.calA @ T, W.T @ real.calB,
         real.calC @ T, kind=GENERIC)

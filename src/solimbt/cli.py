@@ -163,6 +163,18 @@ def cmd_reduce(args):
     return 0
 
 
+def _summarize(summary, path, code=0):
+    """Write ``summary`` as JSON to ``path`` (if given) and print it, to
+    stderr for a failure; returns the exit code."""
+    if path:
+        with open(path, "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    print(json.dumps(summary, sort_keys=True),
+          file=_sys.stderr if code else _sys.stdout)
+    return code
+
+
 def cmd_analyze(args):
     orig, _ = load_bundle(args.original)
     rom, _ = load_bundle(args.reduced)
@@ -187,12 +199,7 @@ def cmd_analyze(args):
         "skipped": report.skipped,
         "rom_stable": report.rom_stable,
     }
-    if args.summary:
-        with open(args.summary, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    print(json.dumps(summary, sort_keys=True))
-    return 0
+    return _summarize(summary, args.summary)
 
 
 def _signal_from(args):
@@ -206,6 +213,7 @@ def _signal_from(args):
 
 def cmd_simulate(args):
     sys, _ = load_bundle(args.model)
+    ref = load_bundle(args.reference)[0] if args.reference else None
     signal = _signal_from(args)
     t = np.arange(0.0, args.tf + 0.5 * args.dt, args.dt) + args.t0
     window = None
@@ -213,60 +221,33 @@ def cmd_simulate(args):
         lo, hi = args.window.split(",")
         window = TimeWindow(float(lo), float(hi))
 
-    if args.reference:
-        ref, _ = load_bundle(args.reference)
-        try:
-            report = pipeline.time_error_report(ref, sys, signal, t, window=window)
-        except NonFiniteState:
-            summary = {"global_max_abs": "inf", "global_max_rel": "inf",
-                       "local_max_abs": "inf", "local_max_rel": "inf",
-                       "diverged": True}
-            if args.summary:
-                with open(args.summary, "w") as fh:
-                    json.dump(summary, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-            print(json.dumps(summary, sort_keys=True), file=_sys.stderr)
-            return 3
+    try:
+        ref_traj = simulate(ref, signal, t) if ref is not None else None
         traj = simulate(sys, signal, t)
-        with open(args.out, "w") as fh:
-            heads = [f"y_{i+1}" for i in range(traj.outputs.shape[1])]
-            fh.write("t_s," + ",".join(heads) + ",abs_err,rel_err\n")
-            for k in range(t.size):
-                row = [_fmt(t[k])] + [_fmt(v) for v in traj.outputs[k]]
-                rel = report.rel_err[k]
-                row += [_fmt(report.abs_err[k]),
-                        "" if not np.isfinite(rel) else _fmt(rel)]
-                fh.write(",".join(row) + "\n")
-        summary = {
-            "global_max_abs": _json_safe(report.global_max_abs),
-            "global_max_rel": _json_safe(report.global_max_rel),
-            "local_max_abs": _json_safe(report.local_max_abs),
-            "local_max_rel": _json_safe(report.local_max_rel),
-        }
-    else:
-        try:
-            traj = simulate(sys, signal, t)
-        except NonFiniteState:
-            summary = {"global_max_abs": "inf", "diverged": True}
-            if args.summary:
-                with open(args.summary, "w") as fh:
-                    json.dump(summary, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-            print(json.dumps(summary, sort_keys=True), file=_sys.stderr)
-            return 3
-        with open(args.out, "w") as fh:
-            heads = [f"y_{i+1}" for i in range(traj.outputs.shape[1])]
-            fh.write("t_s," + ",".join(heads) + "\n")
-            for k in range(t.size):
-                row = [_fmt(t[k])] + [_fmt(v) for v in traj.outputs[k]]
-                fh.write(",".join(row) + "\n")
+    except NonFiniteState:
+        summary = {"global_max_abs": "inf", "diverged": True}
+        if ref is not None:
+            summary.update(global_max_rel="inf", local_max_abs="inf",
+                           local_max_rel="inf")
+        return _summarize(summary, args.summary, code=3)
+    heads = [f"y_{i+1}" for i in range(traj.outputs.shape[1])]
+    if ref is None:
+        cols = []
         summary = {"outputs": traj.outputs.shape[1], "points": int(t.size)}
-    if args.summary:
-        with open(args.summary, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    print(json.dumps(summary, sort_keys=True))
-    return 0
+    else:
+        report = pipeline.trajectory_errors(ref_traj, traj, window=window)
+        heads += ["abs_err", "rel_err"]
+        rel = [_fmt(x) if np.isfinite(x) else "" for x in report.rel_err]
+        cols = [[_fmt(x) for x in report.abs_err], rel]
+        summary = {key: _json_safe(getattr(report, key))
+                   for key in ("global_max_abs", "global_max_rel",
+                               "local_max_abs", "local_max_rel")}
+    with open(args.out, "w") as fh:
+        fh.write("t_s," + ",".join(heads) + "\n")
+        for k in range(t.size):
+            row = [_fmt(t[k])] + [_fmt(v) for v in traj.outputs[k]]
+            fh.write(",".join(row + [c[k] for c in cols]) + "\n")
+    return _summarize(summary, args.summary)
 
 
 def build_parser():

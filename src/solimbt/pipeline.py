@@ -351,21 +351,17 @@ def frequency_error_report(orig, rom, wmin, wmax, points, band=None, threads=Non
         rom_stable=report.is_c_stable, skipped=skipped)
 
 
-def time_error_report(orig, rom, signal, t, window=None):
-    """Output-space errors between simulated trajectories on a shared grid.
+def trajectory_errors(reference, traj, window=None):
+    """Output-space errors of ``traj`` against ``reference``.
 
-    Both models are integrated with the same scheme and step, so the
-    comparison isolates the reduction error.  Divergence of either model
-    propagates as :class:`~solimbt.errors.NonFiniteState`.
+    Both :class:`~solimbt.system.Trajectory` objects must share one grid.
+    Relative errors are NaN where the reference output norm falls below
+    ``1e-14 x`` its maximum.  The returned report carries no ROM order or
+    stability flag.
     """
-    orig = _unwrap(orig)
-    rom_model = rom
-    rom = _unwrap(rom)
-    traj_o = simulate(orig, signal, t)
-    traj_r = simulate(rom, signal, t)
-    diff = traj_o.outputs - traj_r.outputs
-    abs_err = np.linalg.norm(diff, axis=1)
-    orig_norm = np.linalg.norm(traj_o.outputs, axis=1)
+    t = reference.times
+    abs_err = np.linalg.norm(reference.outputs - traj.outputs, axis=1)
+    orig_norm = np.linalg.norm(reference.outputs, axis=1)
     scale = np.max(orig_norm)
     with np.errstate(invalid="ignore", divide="ignore"):
         rel_err = np.where(orig_norm >= 1e-14 * scale, abs_err / orig_norm, np.nan)
@@ -373,13 +369,27 @@ def time_error_report(orig, rom, signal, t, window=None):
     in_win = None
     if window is not None:
         in_win = (t >= window.t0) & (t <= window.tf)
-    report = check_stability(rom)
     return ErrorReport(
-        kind="time", grid=np.asarray(t), orig_norm=orig_norm,
+        kind="time", grid=t, orig_norm=orig_norm,
         abs_err=abs_err, rel_err=rel_err,
         global_max_abs=float(np.max(abs_err)),
         global_max_rel=_masked_max(rel_err, valid),
         local_max_abs=_masked_max(abs_err, in_win) if window is not None else None,
-        local_max_rel=_masked_max(rel_err, valid & in_win) if window is not None else None,
-        rom_order=getattr(rom_model, "r", None),
-        rom_stable=report.is_c_stable)
+        local_max_rel=_masked_max(rel_err, valid & in_win) if window is not None else None)
+
+
+def time_error_report(orig, rom, signal, t, window=None):
+    """Output-space errors between simulated trajectories on a shared grid.
+
+    Both models are integrated with the same scheme and step, so the
+    comparison (:func:`trajectory_errors`) isolates the reduction error.
+    Divergence of either model propagates as
+    :class:`~solimbt.errors.NonFiniteState`.
+    """
+    rom_model = rom
+    rom = _unwrap(rom)
+    report = trajectory_errors(simulate(_unwrap(orig), signal, t),
+                               simulate(rom, signal, t), window=window)
+    report.rom_order = getattr(rom_model, "r", None)
+    report.rom_stable = check_stability(rom).is_c_stable
+    return report

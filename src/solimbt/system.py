@@ -64,27 +64,35 @@ def _dense(sys):
     return replace(sys, **{k: getattr(sys, k).toarray(order="C") for k in "MEK"})
 
 
-def _mass_rcond(M):
-    """Estimated reciprocal 1-norm condition number of ``M``; 0 if an LU
-    factorization finds it exactly singular.
+def _getrf(A):
+    """LAPACK LU ``(lu, piv)`` of a dense matrix, or ``None`` if a pivot is
+    exactly zero: what ``lu_factor`` runs, minus its ``LinAlgWarning``."""
+    getrf, = spla.get_lapack_funcs(("getrf",), (A,))
+    lu, piv, info = getrf(A)
+    return None if info > 0 else (lu, piv)
 
-    Sparse ``M``: SuperLU and ``onenormest`` of the inverse.  Dense ``M``:
+
+def _rcond(A):
+    """Estimated reciprocal 1-norm condition number of a square ``A``; 0 if
+    an LU factorization finds it exactly singular.
+
+    Sparse ``A``: SuperLU and ``onenormest`` of the inverse.  Dense ``A``:
     LAPACK ``getrf`` and ``gecon``.  Both use the one-column Hager-Higham
     estimator, which is deterministic.
     """
-    if scipy.sparse.issparse(M):
+    if scipy.sparse.issparse(A):
         try:
-            lu = sla.splu(M)
+            lu = sla.splu(A)
         except RuntimeError:  # SuperLU: "Factor is exactly singular"
             return 0.0
-        inv = sla.LinearOperator(M.shape, matvec=lu.solve, dtype=M.dtype,
+        inv = sla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype,
                                  rmatvec=lambda x: lu.solve(x, trans="T"))
-        return 1.0 / (sla.norm(M, 1) * sla.onenormest(inv, t=1))
-    getrf, gecon = spla.get_lapack_funcs(("getrf", "gecon"), (M,))
-    lu, _, info = getrf(M)
-    if info > 0:
+        return 1.0 / (sla.norm(A, 1) * sla.onenormest(inv, t=1))
+    factors = _getrf(A)
+    if factors is None:
         return 0.0
-    rcond, _ = gecon(lu, spla.norm(M, 1), norm="1")
+    gecon, = spla.get_lapack_funcs(("gecon",), (A,))
+    rcond, _ = gecon(factors[0], spla.norm(A, 1), norm="1")
     return float(rcond)
 
 
@@ -208,7 +216,7 @@ def make_second_order(M, E, K, B_u, C_p, C_v):
         raise DimensionMismatch("C_p and C_v must have n columns")
     if C_p.shape[0] != C_v.shape[0]:
         raise DimensionMismatch("C_p and C_v must have the same number of rows")
-    rcond = _mass_rcond(M)
+    rcond = _rcond(M)
     if rcond < 1e-14:
         raise SingularMass(f"reciprocal condition number {rcond:.3e} of M below 1e-14")
     return SecondOrderSystem(M, E, K, B_u, C_p, C_v)
@@ -235,7 +243,10 @@ def first_companion(sys, j="identity"):
     Raises
     ------
     SingularJ
-        If the supplied coupling block is singular.
+        If the coupling block is ``"neg_k"`` or explicit and an LU
+        factorization finds it exactly singular, or its estimated reciprocal
+        1-norm condition number is below ``1e-14`` (the test
+        :func:`make_second_order` applies to ``M``).
     """
     sys = _dense(sys)
     n = sys.n
@@ -250,9 +261,11 @@ def first_companion(sys, j="identity"):
         J = _as_matrix(j, "J")
         if J.shape != (n, n):
             raise DimensionMismatch(f"J must be {n}x{n}")
-    smin = spla.svdvals(J)[-1]
-    if smin < 1e-14 * max(spla.norm(J), 1.0):
-        raise SingularJ("companion coupling block is singular")
+    if not isinstance(j, str) or j == "neg_k":
+        rcond = _rcond(J)
+        if rcond < 1e-14:
+            raise SingularJ("companion coupling block is singular (reciprocal "
+                            f"condition number {rcond:.3e} below 1e-14)")
 
     calE = np.block([[J, np.zeros((n, n))], [np.zeros((n, n)), sys.M]])
     calA = np.block([[np.zeros((n, n)), J], [-sys.K, -sys.E]])
@@ -404,14 +417,11 @@ def _shifted_solves(sys, points, dual=False):
                 if dual:
                     D = lu.solve((sys.C_p + s * sys.C_v).conj().T, trans="H")
             elif dual:
-                A = s * s * sys.M + s * sys.E + sys.K
-                getrf, = spla.get_lapack_funcs(("getrf",), (A,))
-                lu, piv, info = getrf(A)  # what lu_factor runs, minus its warning
-                if info > 0:
-                    raise spla.LinAlgError(f"exactly zero pivot {info}")
-                X = spla.lu_solve((lu, piv), B)
-                D = spla.lu_solve((lu, piv), (sys.C_p + s * sys.C_v).conj().T,
-                                  trans=2)
+                lu = _getrf(s * s * sys.M + s * sys.E + sys.K)
+                if lu is None:
+                    raise spla.LinAlgError("exactly zero pivot")
+                X = spla.lu_solve(lu, B)
+                D = spla.lu_solve(lu, (sys.C_p + s * sys.C_v).conj().T, trans=2)
             else:
                 X = spla.solve(s * s * sys.M + s * sys.E + sys.K, B)
         except (spla.LinAlgError, RuntimeError):  # RuntimeError: SuperLU
@@ -585,27 +595,41 @@ class CustomSignal:
 def simulate(obj, signal, t, return_states=False):
     """Integrate the system response with the trapezoidal rule.
 
-    Zero initial state.  The grid ``t`` must be uniformly spaced; one LU
-    factorization of ``calE - h/2 calA`` is reused for all steps, so the run
-    is deterministic for fixed inputs.
+    Zero initial state.  The grid ``t`` must be uniformly spaced with step
+    ``h``; one LU factorization is reused for all steps, so the run is
+    deterministic for fixed inputs.
+
+    A :class:`SecondOrderSystem` is stepped in second-order form, in
+    position ``x`` and velocity ``v = x'``:
+
+        S v_1 = (M - h/2 E - h^2/4 K) v_0 - h K x_0 + h/2 B_u (u_0 + u_1),
+        x_1 = x_0 + h/2 (v_0 + v_1),   S = M + h/2 E + h^2/4 K,
+
+    which is the trapezoidal rule on any first companion form, with one
+    ``n x n`` factorization instead of one of size ``2n``.  Sparse ``M``,
+    ``E``, ``K`` are densified first.  A :class:`FirstOrderRealization` is
+    stepped on its pencil with ``calE - h/2 calA``.
 
     Parameters
     ----------
     obj
-        :class:`SecondOrderSystem` (simulated through its companion form) or
-        :class:`FirstOrderRealization`.
+        :class:`SecondOrderSystem` or :class:`FirstOrderRealization`.
     signal
         Object with ``sample(t, m) -> (len(t), m)``; see :class:`StepSignal`,
         :class:`SineSignal`, :class:`CustomSignal`.
     t
         Increasing, uniformly spaced time grid.
+    return_states
+        Also return the states, ``[x, x']`` per row for a second-order
+        system.
 
     Raises
     ------
     NonFiniteState
-        If the state blows up during integration.
+        If the state becomes non-finite, reported at the first step where
+        it does, or if the step matrix is exactly singular (``2/h`` is a
+        pole).
     """
-    real = first_companion(obj) if isinstance(obj, SecondOrderSystem) else obj
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise InvalidParams("time grid must be a 1d array with at least two points")
@@ -613,32 +637,51 @@ def simulate(obj, signal, t, return_states=False):
     if h <= 0 or np.max(np.abs(np.diff(t) - h)) > 1e-10 * max(h, 1.0):
         raise InvalidParams("time grid must be uniformly spaced and increasing")
 
-    U = signal.sample(t, real.m)
-    N = real.N
-    lhs = real.calE - 0.5 * h * real.calA
-    rhs_mat = real.calE + 0.5 * h * real.calA
-    lu, piv = spla.lu_factor(lhs)
+    hh = 0.5 * h
+    second_order = isinstance(obj, SecondOrderSystem)
+    if second_order:
+        obj = _dense(obj)
+        n = obj.n
+        hhK = hh * hh * obj.K
+        lhs = obj.M + hh * obj.E + hhK
+        rhs_mat = np.hstack([-h * obj.K, obj.M - hh * obj.E - hhK])
+        hB = hh * obj.B_u
+        C = np.hstack([obj.C_p, obj.C_v])
+    else:
+        lhs = obj.calE - hh * obj.calA
+        rhs_mat = obj.calE + hh * obj.calA
+        hB = hh * obj.calB
+        C = obj.calC
+    lu = _getrf(lhs)
+    if lu is None:
+        raise NonFiniteState(f"trapezoidal step matrix is singular: s={2.0 / h:.6g} "
+                             "is a pole")
+    lu, piv = lu
+    getrs, = spla.get_lapack_funcs(("getrs",), (lu,))
 
-    q = np.zeros(N)
-    Y = np.empty((t.size, real.p))
-    Y[0] = real.calC @ q
-    states = np.empty((t.size, N)) if return_states else None
+    U = signal.sample(t, hB.shape[1])
+    Usum = U[:-1] + U[1:]
+    q = np.zeros(rhs_mat.shape[1])
+    Y = np.empty((t.size, C.shape[0]))
+    Y[0] = C @ q
+    states = np.empty((t.size, q.size)) if return_states else None
     if return_states:
         states[0] = q
-    hB = 0.5 * h * real.calB
     # a blowing-up state overflows in the matmul first; keep that quiet and
     # report it as a typed error instead
     with np.errstate(over="ignore", invalid="ignore"):
         for kk in range(t.size - 1):
-            b = rhs_mat @ q + hB @ (U[kk] + U[kk + 1])
-            if not np.all(np.isfinite(b)):
+            z, _ = getrs(lu, piv, rhs_mat @ q + hB @ Usum[kk], overwrite_b=1)
+            if second_order:  # z is the new velocity
+                # x += h/2 (v_0 + v_1), without overflowing in v_0 + v_1
+                q[:n] += hh * q[n:] + hh * z
+                q[n:] = z
+            else:
+                q = z
+            if not np.isfinite(q).all():
                 raise NonFiniteState(
                     f"state became non-finite at t={t[kk + 1]:.6g}")
-            q = spla.lu_solve((lu, piv), b)
-            if not np.all(np.isfinite(q)):
-                raise NonFiniteState(
-                    f"state became non-finite at t={t[kk + 1]:.6g}")
-            Y[kk + 1] = real.calC @ q
+            Y[kk + 1] = C @ q
             if return_states:
                 states[kk + 1] = q
     return Trajectory(times=t, outputs=Y, states=states)

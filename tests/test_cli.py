@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse
 
 import solimbt as slt
-from solimbt import errors
+from solimbt import cli, errors, pipeline
 from solimbt.cli import main
 
 from helpers import random_second_order
@@ -230,13 +230,22 @@ def test_simulate_basic(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"outputs": 3, "points": 101}
 
 
-def test_simulate_reference(tmp_path):
+def test_simulate_reference(tmp_path, monkeypatch):
     model = str(tmp_path / "model")
     main(["generate", "--n", "8", "--out", model])
     cfg = _write_job(tmp_path / "job.json", input=model,
                      output=str(tmp_path / "rom"))
     main(["reduce", "--config", str(cfg)])
 
+    # each model is simulated once
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return slt.simulate(*args, **kwargs)
+
+    for module in (cli, pipeline):
+        monkeypatch.setattr(module, "simulate", counted)
     csv = tmp_path / "err.csv"
     summary = tmp_path / "err.json"
     code = main(["simulate", "--model", str(tmp_path / "rom"),
@@ -250,6 +259,7 @@ def test_simulate_reference(tmp_path):
     assert lines[1].endswith(",")
     data = json.loads(summary.read_text())
     assert data["local_max_abs"] <= data["global_max_abs"]
+    assert len(calls) == 2
 
 
 def test_simulate_divergence_exit_code(tmp_path, capsys):

@@ -134,6 +134,22 @@ def test_reduce_every_formula_runs():
         assert np.max([np.linalg.norm(h, 2) for h in Hr]) <= 10 * scale
 
 
+def test_rom_matrices_stable_under_last_bit_changes():
+    # Gramian factors and SVDs leave the sign of every basis vector free; a
+    # one-ulp change of K must not flip one and change ROM entries by O(1)
+    sys = slt.generate_chain(20)
+    K = sys.K.copy()
+    K[0, 0] = np.nextafter(K[0, 0], np.inf)
+    bumped = slt.make_second_order(sys.M, sys.E, K, sys.B_u, sys.C_p, sys.C_v)
+    band = slt.FrequencyBand([(0.0, 0.5)])
+    for formula in slt.FORMULAS:
+        cfg = slt.ReductionConfig(method="flbt", band=band, formula=formula,
+                                  fixed_order=4)
+        a, b = (slt.reduce(model, cfg).system for model in (sys, bumped))
+        for name in ("M", "E", "K", "B_u", "C_p"):  # the chain's C_v is 0
+            assert _rel(getattr(b, name), getattr(a, name)) <= 1e-8, (formula, name)
+
+
 def test_reduce_dissipative_route_matches_companion():
     sys = slt.generate_chain(10)
     band = slt.FrequencyBand([(0.05, 0.3)])

@@ -139,6 +139,14 @@ def test_companion_singular_j():
     sys = slt.generate_chain(3)
     with pytest.raises(errors.SingularJ):
         slt.first_companion(sys, j=np.zeros((3, 3)))
+    with pytest.raises(errors.SingularJ):  # numerically singular
+        slt.first_companion(sys, j=np.diag([1.0, 1.0, 1e-20]))
+    floating = slt.make_second_order(np.eye(2), np.eye(2), np.zeros((2, 2)),
+                                     np.ones((2, 1)), np.ones((1, 2)),
+                                     np.zeros((1, 2)))
+    with pytest.raises(errors.SingularJ):
+        slt.first_companion(floating, j="neg_k")
+    slt.first_companion(floating)  # the identity needs no K
     with pytest.raises(errors.InvalidParams):
         slt.first_companion(sys, j="bogus")
 
@@ -265,12 +273,68 @@ def test_simulate_grid_validation():
     real = slt.FirstOrderRealization(np.eye(1), -np.eye(1),
                                      np.ones((1, 1)), np.ones((1, 1)))
     sig = slt.StepSignal()
-    with pytest.raises(errors.InvalidParams):
-        slt.simulate(real, sig, np.array([0.0]))
-    with pytest.raises(errors.InvalidParams):
-        slt.simulate(real, sig, np.array([0.0, 0.1, 0.3]))
-    with pytest.raises(errors.InvalidParams):
-        slt.simulate(real, sig, np.array([0.0, -0.1, -0.2]))
+    for obj in (real, slt.generate_chain(3)):
+        with pytest.raises(errors.InvalidParams):
+            slt.simulate(obj, sig, np.array([0.0]))
+        with pytest.raises(errors.InvalidParams):
+            slt.simulate(obj, sig, np.array([0.0, 0.1, 0.3]))
+        with pytest.raises(errors.InvalidParams):
+            slt.simulate(obj, sig, np.array([0.0, -0.1, -0.2]))
+
+
+def test_simulate_second_order_matches_companion():
+    # stepping in (x, x') is the trapezoidal rule on every companion form
+    rng = np.random.default_rng(5)
+    t = np.linspace(0.0, 10.0, 201)
+    for sys in (random_second_order(rng, 6, m=2, p=3), slt.generate_chain(8)):
+        sig = slt.CustomSignal(rng.standard_normal((t.size, sys.m)))
+        a = slt.simulate(sys, sig, t, return_states=True)
+        assert a.states.shape == (t.size, 2 * sys.n)
+        for j in ("identity", "neg_k", rng.standard_normal((sys.n, sys.n))):
+            b = slt.simulate(slt.first_companion(sys, j=j), sig, t,
+                             return_states=True)
+            for got, ref in ((a.outputs, b.outputs), (a.states, b.states)):
+                assert_allclose(got, ref, rtol=0,
+                                atol=1e-12 * np.max(np.abs(ref)))
+
+
+def test_simulate_second_order_skips_companion(monkeypatch):
+    def no_companion(*args, **kwargs):
+        raise AssertionError("simulate built the companion form")
+
+    monkeypatch.setattr("solimbt.system.first_companion", no_companion)
+    traj = slt.simulate(slt.generate_chain(4), slt.StepSignal(),
+                        np.linspace(0.0, 5.0, 51))
+    assert np.all(np.isfinite(traj.outputs))
+
+
+def test_simulate_second_order_divergence():
+    # negative stiffness: a real pole near +1, and one at +0.1 where the
+    # position overflows well before the velocity; both forms report the
+    # same step
+    near_one = slt.make_second_order(np.eye(2), 0.1 * np.eye(2), -np.eye(2),
+                                     np.ones((2, 1)), np.ones((1, 2)),
+                                     np.ones((1, 2)))
+    slow = slt.make_second_order([[1.0]], [[0.0]], [[-0.01]], [[1.0]],
+                                 [[1.0]], [[0.0]])
+    for sys, when in ((near_one, "733"), (slow, "7057.5")):
+        messages = []
+        for obj in (sys, slt.first_companion(sys)):
+            with pytest.raises(errors.NonFiniteState) as exc:
+                slt.simulate(obj, slt.StepSignal(), np.arange(0.0, 8000.0, 0.5))
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1] == f"state became non-finite at t={when}"
+
+
+def test_simulate_singular_step_matrix():
+    # M + h/2 E + h^2/4 K = 1 - 16/16 = 0 at h = 0.5: s = 2/h = 4 is a pole
+    sys = slt.make_second_order([[1.0]], [[0.0]], [[-16.0]], [[1.0]],
+                                [[1.0]], [[0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for obj in (sys, slt.first_companion(sys)):
+            with pytest.raises(errors.NonFiniteState, match="singular"):
+                slt.simulate(obj, slt.StepSignal(), np.arange(0.0, 5.0, 0.5))
 
 
 def test_simulate_deterministic_and_states():
