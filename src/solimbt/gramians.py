@@ -91,10 +91,23 @@ def infinite_gramians(real, solver="sign", solver_options=None):
                        solver=solver, solver_options=solver_options)
 
 
-def _swap_signature(m):
-    Z = np.zeros((m, m))
-    ident = np.eye(m)
-    return np.block([[Z, ident], [ident, Z]])
+def _limited_rhs(real, band, window, variant="left"):
+    """Factored right-hand sides ``(rhs_c, rhs_o)`` of a band or a window."""
+    if band is not None:
+        rhs = matfun.freq_limited_rhs(real, band, variant=variant)
+        Gc, Go = (rhs.B_lim, real.calB), (rhs.C_lim.T, real.calC.T)
+    else:
+        rhs = matfun.time_limited_rhs(real, window)
+        Gc, Go = (rhs.B_t0, rhs.B_tf), (rhs.C_t0.T, rhs.C_tf.T)
+
+    def signature(k):
+        ident, zero = np.eye(k), np.zeros((k, k))
+        if band is not None:
+            return np.block([[zero, ident], [ident, zero]])
+        return np.block([[ident, zero], [zero, -ident]])
+
+    return (IndefiniteRhs(np.hstack(Gc), signature(real.m)),
+            IndefiniteRhs(np.hstack(Go), signature(real.p)))
 
 
 def frequency_limited_gramians(real, band, variant="left", solver="sign",
@@ -105,11 +118,7 @@ def frequency_limited_gramians(real, band, variant="left", solver="sign",
     ``[B_lim, calB]`` against the swap signature ``[[0, I], [I, 0]]`` (and the
     transposed analogue for the outputs).
     """
-    rhs = matfun.freq_limited_rhs(real, band, variant=variant)
-    rhs_c = IndefiniteRhs(np.hstack([rhs.B_lim, real.calB]),
-                          _swap_signature(real.m))
-    rhs_o = IndefiniteRhs(np.hstack([rhs.C_lim.T, real.calC.T]),
-                          _swap_signature(real.p))
+    rhs_c, rhs_o = _limited_rhs(real, band, None, variant)
     return _solve_pair(real, rhs_c, rhs_o, "band", band=band,
                        solver=solver, solver_options=solver_options)
 
@@ -120,12 +129,7 @@ def time_limited_gramians(real, window, solver="sign", solver_options=None):
     Right-hand sides are differences of propagated maps at the window
     endpoints, ``[B_t0, B_tf]`` against ``diag(I, -I)``.
     """
-    rhs = matfun.time_limited_rhs(real, window)
-    m, p = real.m, real.p
-    sig_c = np.diag(np.concatenate([np.ones(m), -np.ones(m)]))
-    sig_o = np.diag(np.concatenate([np.ones(p), -np.ones(p)]))
-    rhs_c = IndefiniteRhs(np.hstack([rhs.B_t0, rhs.B_tf]), sig_c)
-    rhs_o = IndefiniteRhs(np.hstack([rhs.C_t0.T, rhs.C_tf.T]), sig_o)
+    rhs_c, rhs_o = _limited_rhs(real, None, window)
     return _solve_pair(real, rhs_c, rhs_o, "window", window=window,
                        solver=solver, solver_options=solver_options)
 
@@ -157,26 +161,12 @@ def modified_gramians(real, band=None, window=None, variant="left",
     """
     if (band is None) == (window is None):
         raise InvalidParams("pass exactly one of band or window")
-    if band is not None:
-        rhs = matfun.freq_limited_rhs(real, band, variant=variant)
-        rc = IndefiniteRhs(np.hstack([rhs.B_lim, real.calB]),
-                           _swap_signature(real.m))
-        ro = IndefiniteRhs(np.hstack([rhs.C_lim.T, real.calC.T]),
-                           _swap_signature(real.p))
-        flavor = "band_modified"
-    else:
-        rhs = matfun.time_limited_rhs(real, window)
-        m, p = real.m, real.p
-        rc = IndefiniteRhs(np.hstack([rhs.B_t0, rhs.B_tf]),
-                           np.diag(np.concatenate([np.ones(m), -np.ones(m)])))
-        ro = IndefiniteRhs(np.hstack([rhs.C_t0.T, rhs.C_tf.T]),
-                           np.diag(np.concatenate([np.ones(p), -np.ones(p)])))
-        flavor = "window_modified"
+    rc, ro = _limited_rhs(real, band, window, variant)
+    flavor = "band_modified" if band is not None else "window_modified"
     rhs_c = IndefiniteRhs.definite(definite_surrogate(rc))
     rhs_o = IndefiniteRhs.definite(definite_surrogate(ro))
-    pair = _solve_pair(real, rhs_c, rhs_o, flavor, band=band, window=window,
+    return _solve_pair(real, rhs_c, rhs_o, flavor, band=band, window=window,
                        solver="sign", solver_options=solver_options)
-    return pair
 
 
 def partition(pair, n):

@@ -91,19 +91,8 @@ class TimeWindow:
         return cls(float(t0), float(tf))
 
 
-# Pade-13 coefficients and 1-norm threshold for the scaling-and-squaring
-# exponential (Higham's double precision parameters).
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
-
-
 def expm(A):
-    """Matrix exponential by scaling and squaring with a diagonal Pade(13,13)
-    approximant; the squaring count comes from the 1-norm of the input.
+    """Matrix exponential (``scipy.linalg.expm``) with typed errors.
 
     Raises
     ------
@@ -116,26 +105,8 @@ def expm(A):
         raise DimensionMismatch("expm needs a square matrix")
     if not np.all(np.isfinite(A)):
         raise NonFinite("expm input has non-finite entries")
-    norm1 = np.linalg.norm(A, 1)
-    s = 0
-    if norm1 > _THETA13:
-        s = int(np.ceil(np.log2(norm1 / _THETA13)))
-        if s > 64:
-            raise NonFinite("expm argument norm too large; rescale")
-        A = A / (2.0 ** s)
-    b = _PADE13
-    n = A.shape[0]
-    ident = np.eye(n, dtype=A.dtype)
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A2 @ A4
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
-    R = spla.solve(V - U, V + U)
-    for _ in range(s):
-        R = R @ R
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = spla.expm(A)
     if not np.all(np.isfinite(R)):
         raise NonFinite("expm overflowed; rescale the argument")
     return R
@@ -146,12 +117,16 @@ def logm_principal(A, branch_tol=1e-12):
 
     Checks the spectrum first and refuses arguments with an eigenvalue on the
     closed negative real axis, where the principal branch is not defined.
+    For upper-triangular input the spectrum is the diagonal, and scipy
+    skips its own Schur form; other input goes through ``eigvals``.
 
     The result is judged by the relative backward error
     ``||expm(L) - A||_1 / ||A||_1``.  A ``UserWarning`` reading "matrix
     logarithm may be inaccurate" is issued only when that estimate exceeds
-    ``1e-8`` or is not finite.  scipy's own ``RuntimeWarning``, which it
-    raises from ``1000*eps`` on regardless of the dimension, is suppressed.
+    ``1e-8`` or is not finite.  scipy computes the same estimate and warns
+    from ``1000*eps`` on regardless of the dimension; its ``RuntimeWarning``
+    is suppressed, and only when it fires is the estimate formed again here
+    and judged against ``1e-8``.
 
     Raises
     ------
@@ -165,33 +140,61 @@ def logm_principal(A, branch_tol=1e-12):
         raise DimensionMismatch("logm needs a square matrix")
     if not np.all(np.isfinite(A)):
         raise NonFinite("logm input has non-finite entries")
-    lam = np.linalg.eigvals(A)
+    lam = np.diag(A) if np.array_equal(A, np.triu(A)) else np.linalg.eigvals(A)
     scale = np.max(np.abs(lam))
     if scale == 0.0:
         raise BranchCutViolation("zero matrix has no logarithm")
     on_cut = (np.abs(lam.imag) <= branch_tol * np.abs(lam)) & (lam.real <= 0.0)
     if np.any(on_cut | (np.abs(lam) <= branch_tol * scale)):
         raise BranchCutViolation("eigenvalue on the closed negative real axis")
-    # scipy warns at 1000*eps regardless of dimension; judge the error
-    # estimate ourselves instead
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "logm result may be inaccurate",
-                                RuntimeWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         L = spla.logm(A)
+    inaccurate = False
+    for w in caught:
+        if str(w.message).startswith("logm result may be inaccurate"):
+            inaccurate = True
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     if not np.all(np.isfinite(L)):
         raise NonFinite("logm produced non-finite entries")
-    errest = np.linalg.norm(spla.expm(L) - A, 1) / np.linalg.norm(A, 1)
-    if not np.isfinite(errest) or errest > 1e-8:
-        warnings.warn(f"matrix logarithm may be inaccurate "
-                      f"(estimated error {errest:.2e})", stacklevel=2)
+    # scipy is silent only below 1000*eps, far under our threshold
+    if inaccurate:
+        errest = np.linalg.norm(spla.expm(L) - A, 1) / np.linalg.norm(A, 1)
+        if not np.isfinite(errest) or errest > 1e-8:
+            warnings.warn(f"matrix logarithm may be inaccurate "
+                          f"(estimated error {errest:.2e})", stacklevel=2)
     return L
 
 
-def _require_stable(real):
-    lam = real.pencil_eigenvalues()
-    lam = lam[np.isfinite(lam)]
-    if lam.size == 0 or np.max(lam.real) >= 0.0:
+def _band_logarithm(real, band, variant):
+    """Factored logarithm of the band product: ``(Z, L_T)`` with
+    ``log(G) = Z L_T Z^H``.
+
+    ``G`` is a rational function of ``X = calE^{-1} calA`` (``"left"``) or
+    ``X = calA calE^{-1}`` (``"right"``), so one complex Schur form
+    ``X = Z T Z^H`` serves the stability check (``diag(T)``), the interval
+    product and the logarithm, all of which stay upper triangular.
+    """
+    if variant not in ("left", "right"):
+        raise InvalidParams(f"unknown variant {variant!r}")
+    calE, calA = real.calE, real.calA
+    if variant == "left":
+        X = spla.solve(calE, calA)
+    else:
+        X = spla.solve(calE.T, calA.T).T
+    T, Z = spla.rsf2csf(*spla.schur(X))
+    if np.max(np.diag(T).real) >= 0.0:
         raise UnstableRealization("band-limited right-hand side needs a c-stable pencil")
+    ident = np.eye(T.shape[0])
+    ivs = band.intervals
+    if len(ivs) == 1 and ivs[0][0] == 0.0:
+        G = -T - 1j * ivs[0][1] * ident
+    else:
+        G = ident.astype(complex)
+        for a, b in ivs:
+            G = G @ spla.solve_triangular(T + 1j * a * ident, T + 1j * b * ident)
+    return Z, logm_principal(G)
 
 
 def band_selector(real, band, variant="left"):
@@ -203,32 +206,11 @@ def band_selector(real, band, variant="left"):
     logarithm.  The ``"left"`` and ``"right"`` variants apply ``calE^{-1}``
     on different sides and agree mathematically.
     """
-    if variant not in ("left", "right"):
-        raise InvalidParams(f"unknown variant {variant!r}")
-    _require_stable(real)
-    calE, calA = real.calE, real.calA
-    N = calE.shape[0]
-    ivs = band.intervals
-    if len(ivs) == 1 and ivs[0][0] == 0.0:
-        w = ivs[0][1]
-        if variant == "left":
-            arg = -spla.solve(calE, calA).astype(complex) - 1j * w * np.eye(N)
-            L = np.real((1j / np.pi) * logm_principal(arg))
-            return spla.solve(calE.T, L.T).T
-        arg = -spla.solve(calE.T, calA.T).T.astype(complex) - 1j * w * np.eye(N)
-        return spla.solve(calE, np.real((1j / np.pi) * logm_principal(arg)))
-    G = np.eye(N, dtype=complex)
-    for a, b in ivs:
-        lo = calA + 1j * a * calE
-        hi = calA + 1j * b * calE
-        if variant == "left":
-            G = G @ spla.solve(lo, hi)
-        else:
-            G = G @ spla.solve(lo.T, hi.T).T
-    L = np.real((1j / np.pi) * logm_principal(G))
+    Z, LT = _band_logarithm(real, band, variant)
+    R = np.real((1j / np.pi) * (Z @ LT @ Z.conj().T))
     if variant == "left":
-        return spla.solve(calE.T, L.T).T
-    return spla.solve(calE, L)
+        return spla.solve(real.calE.T, R.T).T
+    return spla.solve(real.calE, R)
 
 
 @dataclass
@@ -248,6 +230,10 @@ def freq_limited_rhs(real, band, variant="left"):
     """Band-limited maps ``B_lim = calE F_Omega calB`` and
     ``C_lim = calC F_Omega calE``.
 
+    ``F_Omega`` is ``R calE^{-1}`` (``"left"``) or ``calE^{-1} R``
+    (``"right"``) with ``R = Re((i/pi) Z L_T Z^H)``.  ``R``, ``calE`` and
+    ``calE^{-1}`` are applied to thin blocks only; no N x N product is formed.
+
     Raises
     ------
     UnstableRealization
@@ -255,10 +241,15 @@ def freq_limited_rhs(real, band, variant="left"):
     BranchCutViolation
         Propagated from the matrix logarithm.
     """
-    F = band_selector(real, band, variant=variant)
-    return BandLimitedRhs(B_lim=real.calE @ F @ real.calB,
-                          C_lim=real.calC @ F @ real.calE,
-                          band=band)
+    Z, LT = _band_logarithm(real, band, variant)
+    calE, left = real.calE, variant == "left"
+    Bv = spla.solve(calE, real.calB) if left else real.calB
+    Cv = real.calC if left else spla.solve(calE.T, real.calC.T).T
+    # R is real, so R V = Re((i/pi) Z L_T Z^H V) for real V
+    RB = np.real((1j / np.pi) * (Z @ (LT @ (Z.conj().T @ Bv))))
+    CR = np.real((1j / np.pi) * (((Cv @ Z) @ LT) @ Z.conj().T))
+    return BandLimitedRhs(B_lim=calE @ RB if left else RB,
+                          C_lim=CR if left else CR @ calE, band=band)
 
 
 @dataclass
@@ -316,7 +307,10 @@ def quadrature_gramian(real, band, points_per_interval=200, side="controllabilit
     """
     if side not in ("controllability", "observability"):
         raise InvalidParams(f"unknown side {side!r}")
-    _require_stable(real)
+    lam = real.pencil_eigenvalues()
+    lam = lam[np.isfinite(lam)]
+    if lam.size == 0 or np.max(lam.real) >= 0.0:
+        raise UnstableRealization("band-limited Gramian needs a c-stable pencil")
     calE, calA = real.calE, real.calA
     if side == "controllability":
         G = real.calB.astype(complex)

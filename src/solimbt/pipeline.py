@@ -291,6 +291,12 @@ def _unwrap(model):
     return model.system if isinstance(model, ReducedModel) else model
 
 
+def _is_stable(model):
+    if isinstance(model, ReducedModel):
+        return model.stable
+    return check_stability(model).is_c_stable
+
+
 def _masked_max(values, mask):
     vals = values[mask]
     vals = vals[np.isfinite(vals)]
@@ -305,7 +311,8 @@ def frequency_error_report(orig, rom, wmin, wmax, points, band=None, threads=Non
     ``threads`` defaults to the ``SOLIMBT_THREADS`` environment variable;
     above 1 the grid is split into that many contiguous chunks evaluated in
     parallel, with bit-identical results.  Points where either model is
-    singular are skipped and recorded.
+    singular are skipped and recorded.  ``rom_stable`` of a
+    :class:`ReducedModel` is its ``stable`` flag; other models are checked.
     """
     orig = _unwrap(orig)
     rom_model = rom
@@ -339,7 +346,6 @@ def frequency_error_report(orig, rom, wmin, wmax, points, band=None, threads=Non
         rel_err = np.where(orig_norm >= 1e-14 * scale, abs_err / orig_norm, np.nan)
 
     in_band = band.mask(omega) if band is not None else None
-    report = check_stability(rom)
     return ErrorReport(
         kind="frequency", grid=omega, orig_norm=orig_norm,
         abs_err=abs_err, rel_err=rel_err,
@@ -348,7 +354,7 @@ def frequency_error_report(orig, rom, wmin, wmax, points, band=None, threads=Non
         local_max_abs=_masked_max(abs_err, valid & in_band) if band is not None else None,
         local_max_rel=_masked_max(rel_err, valid & in_band) if band is not None else None,
         rom_order=getattr(rom_model, "r", None),
-        rom_stable=report.is_c_stable, skipped=skipped)
+        rom_stable=_is_stable(rom_model), skipped=skipped)
 
 
 def trajectory_errors(reference, traj, window=None):
@@ -384,12 +390,13 @@ def time_error_report(orig, rom, signal, t, window=None):
     Both models are integrated with the same scheme and step, so the
     comparison (:func:`trajectory_errors`) isolates the reduction error.
     Divergence of either model propagates as
-    :class:`~solimbt.errors.NonFiniteState`.
+    :class:`~solimbt.errors.NonFiniteState`.  ``rom_stable`` is set as in
+    :func:`frequency_error_report`.
     """
     rom_model = rom
     rom = _unwrap(rom)
     report = trajectory_errors(simulate(_unwrap(orig), signal, t),
                                simulate(rom, signal, t), window=window)
     report.rom_order = getattr(rom_model, "r", None)
-    report.rom_stable = check_stability(rom).is_c_stable
+    report.rom_stable = _is_stable(rom_model)
     return report

@@ -107,6 +107,20 @@ def test_logm_branch_cut():
         slt.logm_principal(np.array([[np.inf]]))
 
 
+def _no_eigensolve(*args, **kwargs):
+    raise AssertionError("separate eigensolve")
+
+
+def test_logm_branch_cut_triangular(monkeypatch):
+    # upper-triangular input: the spectrum is read off the diagonal
+    monkeypatch.setattr(np.linalg, "eigvals", _no_eigensolve)
+    T = np.array([[2.0, 1.0, 0.5], [0.0, -3.0, 1.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(errors.BranchCutViolation):
+        slt.logm_principal(T)
+    Tc = T + 0.5j * np.triu(np.ones((3, 3)))
+    assert_allclose(slt.expm(slt.logm_principal(Tc)), Tc, rtol=1e-12, atol=1e-12)
+
+
 def _jordan_like(c):
     # non-normal: scipy's logm loses accuracy as c grows
     return np.eye(8) + c * np.eye(8, k=1)
@@ -176,6 +190,50 @@ def test_band_selector_zero_start_path():
     assert_allclose(F0, Feps, rtol=1e-6, atol=1e-8)
     F0r = slt.band_selector(real, slt.FrequencyBand([(0.0, 2.0)]), variant="right")
     assert_allclose(F0, F0r, rtol=1e-9, atol=1e-11)
+
+
+def _dense_band_oracle(real, band, variant):
+    """``F_Omega`` from the product of dense pencil solves and scipy's logm."""
+    calE, calA = real.calE, real.calA
+    G = np.eye(real.N, dtype=complex)
+    for a, b in band.intervals:
+        lo, hi = calA + 1j * a * calE, calA + 1j * b * calE
+        G = G @ (np.linalg.solve(lo, hi) if variant == "left"
+                 else np.linalg.solve(lo.T, hi.T).T)
+    L = np.real((1j / np.pi) * spla.logm(G))
+    Einv = np.linalg.inv(calE)
+    return L @ Einv if variant == "left" else Einv @ L
+
+
+@pytest.mark.parametrize("variant", ["left", "right"])
+def test_band_selector_matches_dense_oracle(variant):
+    rng = np.random.default_rng(11)
+    real = stable_generic(rng, 10, m=2, p=3)  # calE is not the identity
+    band = slt.FrequencyBand([(0.3, 1.0), (2.0, 4.0)])
+    F_ref = _dense_band_oracle(real, band, variant)
+    F = slt.band_selector(real, band, variant=variant)
+    assert np.linalg.norm(F - F_ref) <= 1e-10 * np.linalg.norm(F_ref)
+    rhs = slt.freq_limited_rhs(real, band, variant=variant)
+    B_ref = real.calE @ F_ref @ real.calB
+    C_ref = real.calC @ F_ref @ real.calE
+    assert np.linalg.norm(rhs.B_lim - B_ref) <= 1e-10 * np.linalg.norm(B_ref)
+    assert np.linalg.norm(rhs.C_lim - C_ref) <= 1e-10 * np.linalg.norm(C_ref)
+
+
+def test_band_selector_needs_no_separate_eigensolve(monkeypatch):
+    # stability, branch cut and logarithm all come from one Schur form
+    real = stable_generic(np.random.default_rng(12), 8)
+    monkeypatch.setattr(np.linalg, "eigvals", _no_eigensolve)
+    monkeypatch.setattr(slt.FirstOrderRealization, "pencil_eigenvalues",
+                        _no_eigensolve)
+    for band in (slt.FrequencyBand([(0.0, 2.0)]),
+                 slt.FrequencyBand([(0.3, 1.0), (2.0, 4.0)])):
+        for variant in ("left", "right"):
+            assert np.all(np.isfinite(slt.band_selector(real, band, variant)))
+            rhs = slt.freq_limited_rhs(real, band, variant)
+            assert np.all(np.isfinite(rhs.B_lim)) and np.all(np.isfinite(rhs.C_lim))
+    with pytest.raises(errors.UnstableRealization):
+        slt.band_selector(_scalar_real(a=1.0), slt.FrequencyBand([(1.0, 2.0)]))
 
 
 def test_band_selector_requires_stable():

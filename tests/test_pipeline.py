@@ -117,6 +117,33 @@ def test_reduce_band_and_window_methods():
     assert flbt.r >= 1 and tlbt.r >= 1
 
 
+def test_reduced_model_stability_checked_once(monkeypatch):
+    # the reports reuse the verdict of reduce instead of a second QZ
+    from solimbt import pipeline
+    checked = []
+    original = pipeline.check_stability
+
+    def counting(obj, *args, **kwargs):
+        checked.append(obj)
+        return original(obj, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "check_stability", counting)
+    sys = slt.generate_chain(8)
+    t = np.linspace(0.0, 20.0, 201)
+    configs = (slt.ReductionConfig(method="bt"),
+               slt.ReductionConfig(method="flbt", band=slt.FrequencyBand([(0.05, 0.3)])),
+               slt.ReductionConfig(method="tlbt", window=slt.TimeWindow(0.0, 20.0)))
+    for cfg in configs:
+        rom = slt.reduce(sys, cfg)
+        freq = slt.frequency_error_report(sys, rom, 1e-2, 1.0, 20)
+        time_ = slt.time_error_report(sys, rom, slt.StepSignal(), t)
+        assert freq.rom_stable is rom.stable and time_.rom_stable is rom.stable
+    assert len(checked) == len(configs)
+    # a bare system is still checked
+    rep = slt.frequency_error_report(sys, rom.system, 1e-2, 1.0, 20)
+    assert len(checked) == len(configs) + 1 and rep.rom_stable == rom.stable
+
+
 def test_reduce_every_formula_runs():
     sys = slt.generate_chain(8)
     band = slt.FrequencyBand([(0.05, 0.3)])
