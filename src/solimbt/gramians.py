@@ -64,12 +64,15 @@ class CharacteristicValues:
 KINDS = ("position", "position_velocity", "velocity_position", "velocity")
 
 
-def _solve_pair(real, rhs_c, rhs_o, flavor, band=None, window=None,
+def _solve_pair(real, make_rhs, flavor, band=None, window=None,
                 solver="sign", solver_options=None):
+    """Solve both Lyapunov equations.  ``make_rhs()`` returns the factored
+    ``(rhs_c, rhs_o)``; only the sign solver calls it, because the
+    projection solver builds its right-hand sides on the projected pencil."""
     opts = dict(solver_options or {})
     if solver == "sign":
         P, Q, info = lyapunov.solve_lyap_sign_dual(real.calE, real.calA,
-                                                   rhs_c, rhs_o, **opts)
+                                                   *make_rhs(), **opts)
     elif solver == "projection":
         P, ic = lyapunov.solve_lyap_projection(real, flavor=flavor,
                                                side="controllability",
@@ -85,9 +88,9 @@ def _solve_pair(real, rhs_c, rhs_o, flavor, band=None, window=None,
 
 def infinite_gramians(real, solver="sign", solver_options=None):
     """Classical Gramian pair of a c-stable realization."""
-    rhs_c = IndefiniteRhs.definite(real.calB)
-    rhs_o = IndefiniteRhs.definite(real.calC.T)
-    return _solve_pair(real, rhs_c, rhs_o, "infinite",
+    return _solve_pair(real, lambda: (IndefiniteRhs.definite(real.calB),
+                                      IndefiniteRhs.definite(real.calC.T)),
+                       "infinite",
                        solver=solver, solver_options=solver_options)
 
 
@@ -118,8 +121,8 @@ def frequency_limited_gramians(real, band, variant="left", solver="sign",
     ``[B_lim, calB]`` against the swap signature ``[[0, I], [I, 0]]`` (and the
     transposed analogue for the outputs).
     """
-    rhs_c, rhs_o = _limited_rhs(real, band, None, variant)
-    return _solve_pair(real, rhs_c, rhs_o, "band", band=band,
+    return _solve_pair(real, lambda: _limited_rhs(real, band, None, variant),
+                       "band", band=band,
                        solver=solver, solver_options=solver_options)
 
 
@@ -129,8 +132,8 @@ def time_limited_gramians(real, window, solver="sign", solver_options=None):
     Right-hand sides are differences of propagated maps at the window
     endpoints, ``[B_t0, B_tf]`` against ``diag(I, -I)``.
     """
-    rhs_c, rhs_o = _limited_rhs(real, None, window)
-    return _solve_pair(real, rhs_c, rhs_o, "window", window=window,
+    return _solve_pair(real, lambda: _limited_rhs(real, None, window),
+                       "window", window=window,
                        solver=solver, solver_options=solver_options)
 
 
@@ -161,11 +164,10 @@ def modified_gramians(real, band=None, window=None, variant="left",
     """
     if (band is None) == (window is None):
         raise InvalidParams("pass exactly one of band or window")
-    rc, ro = _limited_rhs(real, band, window, variant)
+    rhs = tuple(IndefiniteRhs.definite(definite_surrogate(r))
+                for r in _limited_rhs(real, band, window, variant))
     flavor = "band_modified" if band is not None else "window_modified"
-    rhs_c = IndefiniteRhs.definite(definite_surrogate(rc))
-    rhs_o = IndefiniteRhs.definite(definite_surrogate(ro))
-    return _solve_pair(real, rhs_c, rhs_o, flavor, band=band, window=window,
+    return _solve_pair(real, lambda: rhs, flavor, band=band, window=window,
                        solver="sign", solver_options=solver_options)
 
 

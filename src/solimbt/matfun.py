@@ -8,12 +8,21 @@ Frequency-limited balancing needs
 time-limited balancing needs propagated input/output maps
 ``B_t = exp(calA calE^{-1} t) calB`` and ``C_t = calC exp(calE^{-1} calA t)``.
 Both enter indefinite right-hand sides of generalized Lyapunov equations.
-A frequency-domain quadrature of the Gramian integral is provided as an
-independent cross-check of the matrix-function route.
+
+The logarithm is taken on one eigendecomposition ``V diag(lambda) V^{-1}`` of
+``calE^{-1} calA``: the scalar band product is evaluated on ``lambda`` and
+``V^{-1}`` is applied to thin blocks through one LU of ``V``.  When the
+estimated reciprocal condition number of ``V`` is below ``EIG_RCOND_MIN``
+(1e-4, which keeps the ``cond(V) * eps`` error of that route fifty times
+under the 1e-10 the results are held to), the complex Schur form and
+``logm_principal`` take over.  The exponentials are one ``expm`` per window
+endpoint.  A frequency-domain quadrature of the Gramian integral is provided
+as an independent cross-check of the matrix-function route.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as spla
@@ -25,8 +34,13 @@ from .errors import (
     NonFinite,
     UnstableRealization,
 )
+from .system import _lu_rcond
 
 TWO_PI = 2.0 * np.pi
+
+# least reciprocal 1-norm condition number of the eigenvector matrix for
+# the eigendecomposition route of the band logarithm (module docstring)
+EIG_RCOND_MIN = 1e-4
 
 
 @dataclass(frozen=True)
@@ -112,6 +126,17 @@ def expm(A):
     return R
 
 
+def _check_branch_cut(lam, branch_tol=1e-12):
+    """Raise ``BranchCutViolation`` if an eigenvalue ``lam`` of a logarithm's
+    argument lies on ``(-inf, 0]`` within ``branch_tol``."""
+    scale = np.max(np.abs(lam))
+    if scale == 0.0:
+        raise BranchCutViolation("zero matrix has no logarithm")
+    on_cut = (np.abs(lam.imag) <= branch_tol * np.abs(lam)) & (lam.real <= 0.0)
+    if np.any(on_cut | (np.abs(lam) <= branch_tol * scale)):
+        raise BranchCutViolation("eigenvalue on the closed negative real axis")
+
+
 def logm_principal(A, branch_tol=1e-12):
     """Principal matrix logarithm (inverse scaling and squaring).
 
@@ -140,13 +165,8 @@ def logm_principal(A, branch_tol=1e-12):
         raise DimensionMismatch("logm needs a square matrix")
     if not np.all(np.isfinite(A)):
         raise NonFinite("logm input has non-finite entries")
-    lam = np.diag(A) if np.array_equal(A, np.triu(A)) else np.linalg.eigvals(A)
-    scale = np.max(np.abs(lam))
-    if scale == 0.0:
-        raise BranchCutViolation("zero matrix has no logarithm")
-    on_cut = (np.abs(lam.imag) <= branch_tol * np.abs(lam)) & (lam.real <= 0.0)
-    if np.any(on_cut | (np.abs(lam) <= branch_tol * scale)):
-        raise BranchCutViolation("eigenvalue on the closed negative real axis")
+    _check_branch_cut(np.diag(A) if np.array_equal(A, np.triu(A))
+                      else np.linalg.eigvals(A), branch_tol)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         L = spla.logm(A)
@@ -168,13 +188,14 @@ def logm_principal(A, branch_tol=1e-12):
 
 
 def _band_logarithm(real, band, variant):
-    """Factored logarithm of the band product: ``(Z, L_T)`` with
-    ``log(G) = Z L_T Z^H``.
+    """``log(G)`` of the band product as the maps ``Y -> log(G) Y`` and
+    ``Y -> Y log(G)``.
 
-    ``G`` is a rational function of ``X = calE^{-1} calA`` (``"left"``) or
-    ``X = calA calE^{-1}`` (``"right"``), so one complex Schur form
-    ``X = Z T Z^H`` serves the stability check (``diag(T)``), the interval
-    product and the logarithm, all of which stay upper triangular.
+    ``G`` is a rational function ``g`` of ``X = calE^{-1} calA`` (``"left"``)
+    or ``X = calA calE^{-1}`` (``"right"``).  The eigenvalues of ``X`` give
+    the stability and branch-cut checks, and, unless ``V`` is too
+    ill-conditioned, ``log(G) = V diag(log g(lambda)) V^{-1}``.  The
+    fallback keeps ``G`` upper triangular on the complex Schur form of ``X``.
     """
     if variant not in ("left", "right"):
         raise InvalidParams(f"unknown variant {variant!r}")
@@ -183,18 +204,32 @@ def _band_logarithm(real, band, variant):
         X = spla.solve(calE, calA)
     else:
         X = spla.solve(calE.T, calA.T).T
-    T, Z = spla.rsf2csf(*spla.schur(X))
-    if np.max(np.diag(T).real) >= 0.0:
+    lam, V = spla.eig(X)
+    if np.max(lam.real) >= 0.0:
         raise UnstableRealization("band-limited right-hand side needs a c-stable pencil")
-    ident = np.eye(T.shape[0])
     ivs = band.intervals
-    if len(ivs) == 1 and ivs[0][0] == 0.0:
+    zero_start = len(ivs) == 1 and ivs[0][0] == 0.0
+    if zero_start:
+        g = -lam - 1j * ivs[0][1]
+    else:
+        g = np.prod([(lam + 1j * b) / (lam + 1j * a) for a, b in ivs], axis=0)
+    _check_branch_cut(g)
+    lu, rcond = _lu_rcond(V)
+    if rcond >= EIG_RCOND_MIN:
+        log_g = np.log(g)
+        return (lambda Y: V @ (log_g[:, None] * spla.lu_solve(lu, Y)),
+                lambda Y: spla.lu_solve(lu, ((Y @ V) * log_g).T, trans=1).T)
+    T, Z = spla.rsf2csf(*spla.schur(X))
+    ident = np.eye(T.shape[0])
+    if zero_start:
         G = -T - 1j * ivs[0][1] * ident
     else:
         G = ident.astype(complex)
         for a, b in ivs:
             G = G @ spla.solve_triangular(T + 1j * a * ident, T + 1j * b * ident)
-    return Z, logm_principal(G)
+    LT = logm_principal(G)
+    return (lambda Y: Z @ (LT @ (Z.conj().T @ Y)),
+            lambda Y: ((Y @ Z) @ LT) @ Z.conj().T)
 
 
 def band_selector(real, band, variant="left"):
@@ -202,12 +237,19 @@ def band_selector(real, band, variant="left"):
 
     For a single interval starting at zero the symmetric-band simplification
     ``F = Re((i/pi) log(-calE^{-1} calA - i w I)) calE^{-1}`` is used; the
-    general case accumulates the interval product before taking one
-    logarithm.  The ``"left"`` and ``"right"`` variants apply ``calE^{-1}``
-    on different sides and agree mathematically.
+    general case takes one logarithm of the interval product.  The
+    ``"left"`` and ``"right"`` variants apply ``calE^{-1}`` on different
+    sides and agree mathematically.
+
+    The logarithm comes from one eigendecomposition of ``calE^{-1} calA``
+    (``"right"``: ``calA calE^{-1}``).  The complex Schur form and
+    ``logm_principal`` are the fallback when the eigenvector matrix ``V``
+    has an estimated reciprocal condition number below
+    ``EIG_RCOND_MIN = 1e-4``, from where the ``cond(V) * eps`` error of the
+    eigendecomposition route would near the 1e-10 the results are held to.
     """
-    Z, LT = _band_logarithm(real, band, variant)
-    R = np.real((1j / np.pi) * (Z @ LT @ Z.conj().T))
+    log_times, _ = _band_logarithm(real, band, variant)
+    R = np.real((1j / np.pi) * log_times(np.eye(real.N)))
     if variant == "left":
         return spla.solve(real.calE.T, R.T).T
     return spla.solve(real.calE, R)
@@ -231,23 +273,30 @@ def freq_limited_rhs(real, band, variant="left"):
     ``C_lim = calC F_Omega calE``.
 
     ``F_Omega`` is ``R calE^{-1}`` (``"left"``) or ``calE^{-1} R``
-    (``"right"``) with ``R = Re((i/pi) Z L_T Z^H)``.  ``R``, ``calE`` and
-    ``calE^{-1}`` are applied to thin blocks only; no N x N product is formed.
+    (``"right"``) with ``R = Re((i/pi) log(G))``.  ``log(G)`` comes from one
+    eigendecomposition ``V diag(log g(lambda)) V^{-1}`` of ``calE^{-1} calA``
+    (``"right"``: ``calA calE^{-1}``), or, when the estimated reciprocal
+    condition number of ``V`` is below ``EIG_RCOND_MIN = 1e-4`` (where the
+    ``cond(V) * eps`` error of that route would near the 1e-10 the results
+    are held to), from the complex Schur form and ``logm_principal``.
+    ``log(G)``, ``V^{-1}``, ``calE`` and ``calE^{-1}`` are applied to thin
+    blocks only; no N x N product is formed.
 
     Raises
     ------
     UnstableRealization
         If the pencil is not c-stable.
     BranchCutViolation
-        Propagated from the matrix logarithm.
+        If an eigenvalue of the band product lies on the closed negative
+        real axis (the tolerance of ``logm_principal``).
     """
-    Z, LT = _band_logarithm(real, band, variant)
+    log_times, times_log = _band_logarithm(real, band, variant)
     calE, left = real.calE, variant == "left"
     Bv = spla.solve(calE, real.calB) if left else real.calB
     Cv = real.calC if left else spla.solve(calE.T, real.calC.T).T
-    # R is real, so R V = Re((i/pi) Z L_T Z^H V) for real V
-    RB = np.real((1j / np.pi) * (Z @ (LT @ (Z.conj().T @ Bv))))
-    CR = np.real((1j / np.pi) * (((Cv @ Z) @ LT) @ Z.conj().T))
+    # R is real, so R Y = Re((i/pi) log(G) Y) for a real block Y
+    RB = np.real((1j / np.pi) * log_times(Bv))
+    CR = np.real((1j / np.pi) * times_log(Cv))
     return BandLimitedRhs(B_lim=calE @ RB if left else RB,
                           C_lim=CR if left else CR @ calE, band=band)
 
@@ -292,6 +341,15 @@ def time_limited_rhs(real, window):
                           window=window)
 
 
+@lru_cache(maxsize=4)
+def _gauss_legendre(points):
+    """Read-only Gauss-Legendre nodes and weights on ``[-1, 1]``; computed
+    once per point count (``leggauss`` runs an O(points^3) eigensolve)."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def quadrature_gramian(real, band, points_per_interval=200, side="controllability"):
     """Frequency-domain quadrature of a band-limited Gramian.
 
@@ -302,7 +360,8 @@ def quadrature_gramian(real, band, points_per_interval=200, side="controllabilit
 
     (the symmetric negative half of the band is folded into the weights).
     Returns a factor ``Z`` with ``P_Omega ~= Z Z^T``; the observability side
-    uses conjugate-transposed solves against ``calC^T``.  Independent of the
+    uses conjugate-transposed solves against ``calC^T``.  The solves are
+    stacked, 256 nodes at a time to bound memory.  Independent of the
     matrix-logarithm route, so it serves as a cross-check oracle.
     """
     if side not in ("controllability", "observability"):
@@ -317,17 +376,17 @@ def quadrature_gramian(real, band, points_per_interval=200, side="controllabilit
     else:
         G = real.calC.conj().T.astype(complex)
     cols = []
-    x, w = np.polynomial.legendre.leggauss(points_per_interval)
+    x, w = _gauss_legendre(points_per_interval)
     for a, b in band.intervals:
         nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
-        weights = 0.5 * (b - a) * w
-        for wk, gk in zip(nodes, weights):
-            S = 1j * wk * calE - calA
-            if side == "controllability":
-                R = spla.solve(S, G)
-            else:
-                R = spla.solve(S.conj().T, G)
-            scale = np.sqrt(gk / np.pi)
-            cols.append(scale * R.real)
-            cols.append(scale * R.imag)
+        scales = np.sqrt(0.5 * (b - a) * w / np.pi)
+        for lo in range(0, nodes.size, 256):
+            hi = lo + 256
+            S = 1j * nodes[lo:hi, None, None] * calE - calA
+            if side == "observability":
+                S = S.conj().transpose(0, 2, 1)
+            R = scales[lo:hi, None, None] * np.linalg.solve(S, G)
+            # per node: real part, then imaginary part, as columns
+            cols.append(np.concatenate([R.real, R.imag], axis=2)
+                        .transpose(1, 0, 2).reshape(G.shape[0], -1))
     return np.hstack(cols)

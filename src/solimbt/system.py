@@ -88,12 +88,19 @@ def _rcond(A):
         inv = sla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype,
                                  rmatvec=lambda x: lu.solve(x, trans="T"))
         return 1.0 / (sla.norm(A, 1) * sla.onenormest(inv, t=1))
+    return _lu_rcond(A)[1]
+
+
+def _lu_rcond(A):
+    """Dense ``(factors, rcond)``: the ``getrf`` factors of ``A`` (``None``
+    if exactly singular, with ``rcond`` 0) and the ``gecon`` estimate, so a
+    caller that goes on to solve with ``A`` factors it only once."""
     factors = _getrf(A)
     if factors is None:
-        return 0.0
+        return None, 0.0
     gecon, = spla.get_lapack_funcs(("gecon",), (A,))
     rcond, _ = gecon(factors[0], spla.norm(A, 1), norm="1")
-    return float(rcond)
+    return factors, float(rcond)
 
 
 @dataclass

@@ -185,3 +185,23 @@ def test_projection_solver_dispatch():
     assert "dim" in proj.info["controllability"]
     with pytest.raises(errors.InvalidParams):
         slt.infinite_gramians(real, solver="magic")
+
+
+def _no_full_rhs(*args, **kwargs):
+    raise AssertionError("full-order limited right-hand side built")
+
+
+def test_projection_solver_builds_no_full_order_rhs(monkeypatch):
+    # the projection solver evaluates the band/window on the projected pencil
+    monkeypatch.setattr(slt.matfun, "freq_limited_rhs", _no_full_rhs)
+    monkeypatch.setattr(slt.matfun, "time_limited_rhs", _no_full_rhs)
+    sys = slt.generate_chain(6)
+    for config in (slt.ReductionConfig(method="flbt", solver="projection",
+                                       band=slt.FrequencyBand([(0.05, 0.3)]),
+                                       realization="dissipative", fixed_order=2),
+                   slt.ReductionConfig(method="tlbt", solver="projection",
+                                       window=slt.TimeWindow(0.0, 5.0),
+                                       realization="dissipative", fixed_order=2)):
+        rom = slt.reduce(sys, config)
+        assert rom.stable and rom.r == 2
+        assert rom.details["solver"] == "projection"

@@ -8,7 +8,7 @@ import scipy.linalg as spla
 from numpy.testing import assert_allclose
 
 import solimbt as slt
-from solimbt import errors
+from solimbt import errors, matfun
 from solimbt.matfun import TWO_PI
 
 from helpers import stable_generic
@@ -205,11 +205,8 @@ def _dense_band_oracle(real, band, variant):
     return L @ Einv if variant == "left" else Einv @ L
 
 
-@pytest.mark.parametrize("variant", ["left", "right"])
-def test_band_selector_matches_dense_oracle(variant):
-    rng = np.random.default_rng(11)
-    real = stable_generic(rng, 10, m=2, p=3)  # calE is not the identity
-    band = slt.FrequencyBand([(0.3, 1.0), (2.0, 4.0)])
+def _assert_matches_dense_oracle(real, band, variant):
+    """``F``, ``B_lim`` and ``C_lim`` within 1e-10 relative of the oracle."""
     F_ref = _dense_band_oracle(real, band, variant)
     F = slt.band_selector(real, band, variant=variant)
     assert np.linalg.norm(F - F_ref) <= 1e-10 * np.linalg.norm(F_ref)
@@ -218,6 +215,14 @@ def test_band_selector_matches_dense_oracle(variant):
     C_ref = real.calC @ F_ref @ real.calE
     assert np.linalg.norm(rhs.B_lim - B_ref) <= 1e-10 * np.linalg.norm(B_ref)
     assert np.linalg.norm(rhs.C_lim - C_ref) <= 1e-10 * np.linalg.norm(C_ref)
+
+
+@pytest.mark.parametrize("variant", ["left", "right"])
+def test_band_selector_matches_dense_oracle(variant):
+    rng = np.random.default_rng(11)
+    real = stable_generic(rng, 10, m=2, p=3)  # calE is not the identity
+    _assert_matches_dense_oracle(real, slt.FrequencyBand([(0.3, 1.0), (2.0, 4.0)]),
+                                 variant)
 
 
 def test_band_selector_needs_no_separate_eigensolve(monkeypatch):
@@ -234,6 +239,87 @@ def test_band_selector_needs_no_separate_eigensolve(monkeypatch):
             assert np.all(np.isfinite(rhs.B_lim)) and np.all(np.isfinite(rhs.C_lim))
     with pytest.raises(errors.UnstableRealization):
         slt.band_selector(_scalar_real(a=1.0), slt.FrequencyBand([(1.0, 2.0)]))
+
+
+def _no_schur_fallback(*args, **kwargs):
+    raise AssertionError("Schur fallback taken")
+
+
+def test_band_rhs_takes_eig_route_on_chain(monkeypatch):
+    # a chain's eigenvectors are well conditioned: no triangular logarithm
+    monkeypatch.setattr(matfun, "logm_principal", _no_schur_fallback)
+    real = slt.first_companion(slt.generate_chain(60))
+    band = slt.FrequencyBand.from_hz([(0.01, 0.1)])
+    left, right = (slt.freq_limited_rhs(real, band, v) for v in ("left", "right"))
+    assert_allclose(left.B_lim, right.B_lim, rtol=0, atol=1e-10 * np.abs(left.B_lim).max())
+    assert_allclose(left.C_lim, right.C_lim, rtol=0, atol=1e-10 * np.abs(left.C_lim).max())
+    assert np.all(np.isfinite(slt.band_selector(real, band)))
+
+
+BANDS = {
+    "zero_start": slt.FrequencyBand([(0.0, 2.0)]),
+    "one": slt.FrequencyBand([(0.5, 1.5)]),
+    "three": slt.FrequencyBand([(0.1, 0.4), (0.9, 1.3), (2.0, 6.0)]),
+}
+
+
+@pytest.mark.parametrize("band", BANDS.values(), ids=BANDS.keys())
+@pytest.mark.parametrize("variant", ["left", "right"])
+def test_band_rhs_eig_route_matches_dense_oracle(monkeypatch, variant, band):
+    monkeypatch.setattr(matfun, "logm_principal", _no_schur_fallback)
+    real = stable_generic(np.random.default_rng(13), 12, m=2, p=3)
+    _assert_matches_dense_oracle(real, band, variant)
+
+
+def _near_defective(rng, N=10, delta=1e-10):
+    """Stable pencil whose ``calE^-1 calA`` has a Jordan block at -1,
+    perturbed by ``delta``, next to a generic stable block."""
+    base = stable_generic(rng, N - 2)
+    D = np.zeros((N, N))
+    D[:2, :2] = [[-1.0, 1.0], [0.0, -1.0 - delta]]
+    D[2:, 2:] = spla.solve(base.calE, base.calA)
+    S = rng.standard_normal((N, N))
+    calE = np.eye(N) + 0.1 * rng.standard_normal((N, N))
+    return slt.FirstOrderRealization(calE, calE @ (S @ D @ np.linalg.inv(S)),
+                                     rng.standard_normal((N, 2)),
+                                     rng.standard_normal((2, N)))
+
+
+@pytest.mark.parametrize("variant", ["left", "right"])
+def test_band_rhs_near_defective_takes_schur_fallback(monkeypatch, variant):
+    real = _near_defective(np.random.default_rng(21))
+    calls = []
+
+    def spy(A, *args, **kwargs):
+        calls.append(A.shape)
+        return slt.logm_principal(A, *args, **kwargs)
+
+    monkeypatch.setattr(matfun, "logm_principal", spy)
+    for band in (BANDS["zero_start"], slt.FrequencyBand([(0.3, 1.0), (2.0, 4.0)])):
+        _assert_matches_dense_oracle(real, band, variant)
+    assert calls == [(10, 10)] * 4  # band_selector and freq_limited_rhs, twice
+
+
+def test_band_rhs_errors_on_eig_route(monkeypatch):
+    # both checks read the eigenvalues of the one eigendecomposition
+    monkeypatch.setattr(slt.FirstOrderRealization, "pencil_eigenvalues",
+                        _no_eigensolve)
+    monkeypatch.setattr(matfun, "logm_principal", _no_schur_fallback)
+    band = slt.FrequencyBand([(1.0, 3.0)])
+    with pytest.raises(errors.UnstableRealization):
+        slt.freq_limited_rhs(_scalar_real(a=1.0), band)
+    # eigenvalues -1e-14 +- 2i: the interval [1, 3] maps -1e-14 - 2i onto
+    # the band-product value -1 - 2e-14 i, on the branch cut within 1e-12
+    d, w = 1e-14, 2.0
+    real = slt.FirstOrderRealization(np.eye(2), np.array([[-d, w], [-w, -d]]),
+                                     np.ones((2, 1)), np.ones((1, 2)))
+    for variant in ("left", "right"):
+        with pytest.raises(errors.BranchCutViolation):
+            slt.freq_limited_rhs(real, band, variant)
+        with pytest.raises(errors.BranchCutViolation):
+            slt.band_selector(real, band, variant)
+    assert np.all(np.isfinite(slt.freq_limited_rhs(
+        real, slt.FrequencyBand([(0.0, 3.0)])).B_lim))
 
 
 def test_band_selector_requires_stable():
@@ -302,3 +388,26 @@ def test_quadrature_scalar_frozen():
     assert float((Zo @ Zo.T)[0, 0]) == pytest.approx(P, abs=1e-12)
     with pytest.raises(errors.InvalidParams):
         slt.quadrature_gramian(real, band, side="sideways")
+
+
+def test_quadrature_batched_solves_match_node_loop():
+    # the stacked solves reproduce one LAPACK solve per node, chunk
+    # boundaries included (300 nodes per interval)
+    real = stable_generic(np.random.default_rng(8), 7, m=2, p=3)
+    band = slt.FrequencyBand([(0.5, 2.5), (3.0, 4.0)])
+    x, w = np.polynomial.legendre.leggauss(300)
+    for side in ("controllability", "observability"):
+        cols = []
+        for a, b in band.intervals:
+            for wk, gk in zip(0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w):
+                S = 1j * wk * real.calE - real.calA
+                R = (spla.solve(S, real.calB) if side == "controllability"
+                     else spla.solve(S.conj().T, real.calC.T))
+                cols += [np.sqrt(gk / np.pi) * R.real, np.sqrt(gk / np.pi) * R.imag]
+        Z_ref = np.hstack(cols)
+        Z = slt.quadrature_gramian(real, band, points_per_interval=300, side=side)
+        assert Z.shape == Z_ref.shape
+        assert_allclose(Z, Z_ref, rtol=0, atol=1e-13 * np.abs(Z_ref).max())
+    nodes, weights = matfun._gauss_legendre(300)
+    assert matfun._gauss_legendre(300)[0] is nodes
+    assert not nodes.flags.writeable and not weights.flags.writeable

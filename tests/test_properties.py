@@ -1,0 +1,59 @@
+"""Property suites (hypothesis), run derandomized so the suite is
+deterministic: every run draws the same examples."""
+
+from unittest import mock
+
+import numpy as np
+import scipy.linalg as spla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import solimbt as slt
+from solimbt import matfun
+from solimbt.system import _rcond
+
+from helpers import stable_generic
+
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None,
+                         max_examples=60)
+
+
+@st.composite
+def bands(draw):
+    """One or two intervals; the first may start at zero."""
+    lo = draw(st.one_of(st.just(0.0), st.floats(0.01, 5.0)))
+    ivs = [(lo, lo + draw(st.floats(0.05, 5.0)))]
+    if draw(st.booleans()):
+        a = ivs[0][1] + draw(st.floats(0.05, 3.0))
+        ivs.append((a, a + draw(st.floats(0.05, 5.0))))
+    return slt.FrequencyBand(ivs)
+
+
+@st.composite
+def pencils(draw):
+    """c-stable generic pencils, N <= 12: spectrum left of -0.5 and a
+    well-conditioned calE."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return stable_generic(rng, draw(st.integers(1, 12)),
+                          m=draw(st.integers(1, 3)), p=draw(st.integers(1, 3)))
+
+
+def _rel(X, Y):
+    return np.linalg.norm(X - Y) / np.linalg.norm(Y)
+
+
+@DETERMINISTIC
+@given(real=pencils(), band=bands(), variant=st.sampled_from(["left", "right"]))
+def test_band_rhs_eig_route_agrees_with_schur_fallback(real, band, variant):
+    # only pencils whose eigenvectors admit the eig route count
+    X = spla.solve(real.calE, real.calA)
+    V = spla.eig(X if variant == "left" else real.calE @ X @ np.linalg.inv(real.calE))[1]
+    assume(_rcond(V) >= matfun.EIG_RCOND_MIN)
+    F = slt.band_selector(real, band, variant)
+    rhs = slt.freq_limited_rhs(real, band, variant)
+    with mock.patch.object(matfun, "EIG_RCOND_MIN", np.inf):  # force Schur
+        F_s = slt.band_selector(real, band, variant)
+        rhs_s = slt.freq_limited_rhs(real, band, variant)
+    assert _rel(F, F_s) <= 1e-9
+    assert _rel(rhs.B_lim, rhs_s.B_lim) <= 1e-9
+    assert _rel(rhs.C_lim, rhs_s.C_lim) <= 1e-9
