@@ -66,8 +66,6 @@ _CONFIG_KEYS = {
     "order", "alpha", "realization", "j", "gamma", "solver",
     "solver_options", "modified", "variant", "hybrid",
 }
-_SOLVER_OPTION_KEYS = {"tol", "maxiter", "compress_tol", "num_shifts",
-                       "batch", "max_dim"}
 
 
 def _load_job(path):
@@ -102,10 +100,6 @@ def _load_job(path):
     order = job.get("order", {})
     if not set(order) <= {"tol", "fixed"}:
         raise InvalidParams("config key 'order' accepts only 'tol' or 'fixed'")
-    opts = job.get("solver_options", {})
-    if not set(opts) <= _SOLVER_OPTION_KEYS:
-        bad = sorted(set(opts) - _SOLVER_OPTION_KEYS)
-        raise InvalidParams(f"unknown solver_options key(s) {bad}")
 
     hybrid = None
     if "hybrid" in job:
@@ -129,7 +123,7 @@ def _load_job(path):
         gamma=job.get("gamma"),
         alpha=float(job.get("alpha", 0.0)),
         solver=job.get("solver", "sign"),
-        solver_options=opts,
+        solver_options=job.get("solver_options", {}),
         modified=bool(job.get("modified", False)),
         variant=job.get("variant", "left"),
         hybrid=hybrid)

@@ -66,21 +66,16 @@ KINDS = ("position", "position_velocity", "velocity_position", "velocity")
 
 def _solve_pair(real, make_rhs, flavor, band=None, window=None,
                 solver="sign", solver_options=None):
-    """Solve both Lyapunov equations.  ``make_rhs()`` returns the factored
-    ``(rhs_c, rhs_o)``; only the sign solver calls it, because the
-    projection solver builds its right-hand sides on the projected pencil."""
+    """Solve both Lyapunov equations.  ``make_rhs(real)`` returns the
+    factored ``(rhs_c, rhs_o)`` of a realization: the full one for the sign
+    solver, the projected one for the projection solver."""
     opts = dict(solver_options or {})
     if solver == "sign":
         P, Q, info = lyapunov.solve_lyap_sign_dual(real.calE, real.calA,
-                                                   *make_rhs(), **opts)
+                                                   *make_rhs(real), **opts)
     elif solver == "projection":
-        P, ic = lyapunov.solve_lyap_projection(real, flavor=flavor,
-                                               side="controllability",
-                                               band=band, window=window, **opts)
-        Q, io = lyapunov.solve_lyap_projection(real, flavor=flavor,
-                                               side="observability",
-                                               band=band, window=window, **opts)
-        info = {"controllability": ic, "observability": io}
+        P, Q, info = lyapunov.solve_lyap_projection_dual(
+            real, make_rhs, band=band, window=window, **opts)
     else:
         raise InvalidParams(f"unknown solver {solver!r}")
     return GramianPair(P, Q, flavor, band=band, window=window, info=info)
@@ -88,8 +83,8 @@ def _solve_pair(real, make_rhs, flavor, band=None, window=None,
 
 def infinite_gramians(real, solver="sign", solver_options=None):
     """Classical Gramian pair of a c-stable realization."""
-    return _solve_pair(real, lambda: (IndefiniteRhs.definite(real.calB),
-                                      IndefiniteRhs.definite(real.calC.T)),
+    return _solve_pair(real, lambda r: (IndefiniteRhs.definite(r.calB),
+                                        IndefiniteRhs.definite(r.calC.T)),
                        "infinite",
                        solver=solver, solver_options=solver_options)
 
@@ -121,7 +116,7 @@ def frequency_limited_gramians(real, band, variant="left", solver="sign",
     ``[B_lim, calB]`` against the swap signature ``[[0, I], [I, 0]]`` (and the
     transposed analogue for the outputs).
     """
-    return _solve_pair(real, lambda: _limited_rhs(real, band, None, variant),
+    return _solve_pair(real, lambda r: _limited_rhs(r, band, None, variant),
                        "band", band=band,
                        solver=solver, solver_options=solver_options)
 
@@ -132,7 +127,7 @@ def time_limited_gramians(real, window, solver="sign", solver_options=None):
     Right-hand sides are differences of propagated maps at the window
     endpoints, ``[B_t0, B_tf]`` against ``diag(I, -I)``.
     """
-    return _solve_pair(real, lambda: _limited_rhs(real, None, window),
+    return _solve_pair(real, lambda r: _limited_rhs(r, None, window),
                        "window", window=window,
                        solver=solver, solver_options=solver_options)
 
@@ -164,11 +159,12 @@ def modified_gramians(real, band=None, window=None, variant="left",
     """
     if (band is None) == (window is None):
         raise InvalidParams("pass exactly one of band or window")
-    rhs = tuple(IndefiniteRhs.definite(definite_surrogate(r))
-                for r in _limited_rhs(real, band, window, variant))
     flavor = "band_modified" if band is not None else "window_modified"
-    return _solve_pair(real, lambda: rhs, flavor, band=band, window=window,
-                       solver="sign", solver_options=solver_options)
+    return _solve_pair(
+        real, lambda r: tuple(IndefiniteRhs.definite(definite_surrogate(x))
+                              for x in _limited_rhs(r, band, window, variant)),
+        flavor, band=band, window=window,
+        solver="sign", solver_options=solver_options)
 
 
 def partition(pair, n):

@@ -9,27 +9,30 @@ simultaneously (both equations share the same iteration matrices, so one
 stream of LU factorizations serves both).  Right-hand sides are kept in
 factored indefinite form ``G S G^T``, which is exactly what the limited
 balancing variants produce.  A dense Kronecker solver acts as an independent
-reference at small sizes, and a rational-Krylov projection solver covers
-problems where dense sign iteration is too expensive.
+reference at small sizes.
+
+The rational-Krylov projection solver covers problems where dense sign
+iteration is too expensive: it Galerkin-projects the realization onto the
+span of shifted solves for both sides, builds the limited right-hand sides
+on the projected realization with the same builders as the sign route, and
+runs the sign iteration there.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as spla
 
-from . import matfun
 from .errors import (
     DimensionMismatch,
-    InvalidParams,
     NotConverged,
     SingularOperator,
     TooLarge,
     UnstablePencil,
     UnstableProjection,
 )
-from .system import GENERIC, STRICTLY_DISSIPATIVE, FirstOrderRealization
+from .system import FirstOrderRealization, _shifted_solves
 
 
 @dataclass
@@ -234,152 +237,84 @@ def solve_lyap_dense_oracle(calA, calE, rhs, max_dim=60):
     return 0.5 * (X + X.T)
 
 
-@dataclass
-class _StandardSpace:
-    """First-order realization mapped to standard state-space coordinates."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    back_contr: object
-    back_obs: object
-
-
-def _to_standard(real):
-    if real.kind == STRICTLY_DISSIPATIVE:
-        Lf = spla.cholesky(0.5 * (real.calE + real.calE.T), lower=True)
-        Atil = spla.solve_triangular(Lf, real.calA, lower=True)
-        Atil = spla.solve_triangular(Lf, Atil.T, lower=True).T
-        Btil = spla.solve_triangular(Lf, real.calB, lower=True)
-        Ctil = spla.solve_triangular(Lf, real.calC.T, lower=True).T
-        back = lambda Z: spla.solve_triangular(Lf.T, Z, lower=False)
-        return _StandardSpace(Atil, Btil, Ctil, back, back)
-    Atil = spla.solve(real.calE, real.calA)
-    Btil = spla.solve(real.calE, real.calB)
-    return _StandardSpace(Atil, Btil, real.calC,
-                          lambda Z: Z,
-                          lambda Z: spla.solve(real.calE.T, Z))
-
-
-def _default_shifts(flavor, band, window, N, A):
-    if flavor == "band":
+def _default_shifts(band, window, real):
+    """Frequency range ``(lo, hi)`` of the default shifts."""
+    if band is not None:
         lo, hi = band.hull
-        if lo <= 0.0:
-            lo = hi * 1e-4
-        return None, (lo, hi)
-    if flavor == "window":
-        tf = window.tf
-        return None, (1.0 / tf, 10.0 * N / tf)
-    scale = spla.norm(A) / np.sqrt(N)
-    return None, (1e-3 * scale, 1e3 * scale)
+        return (hi * 1e-4 if lo <= 0.0 else lo), hi
+    if window is not None:
+        return 1.0 / window.tf, 10.0 * real.N / window.tf
+    scale = spla.norm(real.calA) / spla.norm(real.calE)
+    return 1e-3 * scale, 1e3 * scale
 
 
-def _small_rhs(T, G, flavor, band, window):
-    if flavor == "infinite":
-        return G @ G.T
-    if flavor == "band":
-        small = FirstOrderRealization(np.eye(T.shape[0]), T, G,
-                                      np.zeros((1, T.shape[0])), kind=GENERIC)
-        F = matfun.band_selector(small, band)
-        GF = F @ G
-        return GF @ G.T + G @ GF.T
-    Gt0 = G if window.t0 == 0.0 else matfun.expm(T * window.t0) @ G
-    Gtf = matfun.expm(T * window.tf) @ G
-    return Gt0 @ Gt0.T - Gtf @ Gtf.T
+def solve_lyap_projection_dual(real, make_rhs, band=None, window=None,
+                               shifts=None, num_shifts=40, batch=8, tol=1e-8,
+                               max_dim=None):
+    """Rational-Krylov projection solver for the dual Lyapunov pair.
 
-
-def solve_lyap_projection(real, flavor="infinite", side="controllability",
-                          band=None, window=None, shifts=None, num_shifts=40,
-                          batch=8, tol=1e-8, max_dim=None):
-    """Rational-Krylov projection solver for one Gramian.
-
-    Builds an orthonormal basis ``V`` from solves ``(s_k I - A)^{-1} G`` in
-    standard coordinates (Cholesky-transformed for the strictly dissipative
-    realization, ``calE``-inverted otherwise), Galerkin-projects the
-    equation, evaluates the limited right-hand side on the projected
-    matrices, and solves the small equation densely.  The subspace grows in
-    batches of shifts until the trace of the represented Gramian changes by
-    at most ``tol`` relatively.
+    Builds one orthonormal basis ``V`` from the solves
+    ``(i w calE - calA)^{-1} calB`` and ``(i w calE - calA)^{-H} calC^T``
+    (one LU per shift serves both), Galerkin-projects the realization to
+    ``(V^T calE V, V^T calA V, V^T calB, calC V)``, builds the right-hand
+    sides on it with ``make_rhs(small) -> (rhs_c, rhs_o)`` and solves the
+    small pair with :func:`solve_lyap_sign_dual`.  The subspace grows in
+    batches of shifts until the traces of both Gramians change by at most
+    ``tol`` relatively.
 
     Parameters
     ----------
-    flavor
-        ``"infinite"``, ``"band"`` (requires ``band``) or ``"window"``
-        (requires ``window``).
     shifts
-        Optional explicit array of shift frequencies (rad/s, positive);
-        defaults to a logarithmic spread derived from the band, the window
-        length, or the operator norm.
+        Optional explicit array of shift frequencies (rad/s, positive).  By
+        default ``num_shifts`` of them are spread logarithmically over the
+        band hull, over ``[1/tf, 10 N/tf]`` for a window, or else over
+        ``10^{+-3}`` times the pencil scale ``||calA||_F / ||calE||_F``.
+
+    Returns
+    -------
+    (P, Q, info)
+        :class:`GramianFactor` solutions and a dict with the subspace
+        dimension ``dim`` and the ``trace_history`` of ``(tr P, tr Q)``.
 
     Raises
     ------
     UnstableProjection
-        If the projected matrix is not c-stable (retry with the strictly
+        If the projected pencil is not c-stable (retry with the strictly
         dissipative realization).
     NotConverged
-        If the shift budget is exhausted before the trace settles.
+        If the shift budget is exhausted before the traces settle.
     """
-    if flavor not in ("infinite", "band", "window"):
-        raise InvalidParams(f"unknown flavor {flavor!r}")
-    if flavor == "band" and band is None:
-        raise InvalidParams("band flavor needs a band")
-    if flavor == "window" and window is None:
-        raise InvalidParams("window flavor needs a window")
-    if side not in ("controllability", "observability"):
-        raise InvalidParams(f"unknown side {side!r}")
-
-    space = _to_standard(real)
-    if side == "controllability":
-        A, G, back = space.A, space.B, space.back_contr
-    else:
-        A, G, back = space.A.T, space.C.T, space.back_obs
-    N = A.shape[0]
-    max_dim = N if max_dim is None else min(max_dim, N)
-
+    max_dim = real.N if max_dim is None else min(max_dim, real.N)
     if shifts is None:
-        _, (lo, hi) = _default_shifts(flavor, band, window, N, A)
+        lo, hi = _default_shifts(band, window, real)
         shifts = np.logspace(np.log10(lo), np.log10(hi), num_shifts)
     shifts = np.asarray(shifts, dtype=float)
 
-    ident = np.eye(N)
     raw = []
-    V = None
-    last_trace = None
     trace_history = []
-    converged = False
     for start in range(0, shifts.size, batch):
-        for w in shifts[start:start + batch]:
-            D = spla.solve(1j * w * ident - A, G.astype(complex))
-            raw.append(D.real)
-            raw.append(D.imag)
-        V = spla.orth(np.hstack(raw))
-        if V.shape[1] > max_dim:
-            V = V[:, :max_dim]
-        T = V.T @ A @ V
-        lam = np.linalg.eigvals(T)
-        if np.max(lam.real) >= 0.0:
+        points = 1j * shifts[start:start + batch]
+        for s, XD in zip(points, _shifted_solves(real, points, dual=True)):
+            if XD is None:
+                raise UnstablePencil(f"shift {s} is (near) a pole")
+            for blk in XD:
+                raw += [blk.real, blk.imag]
+        V = spla.orth(np.hstack(raw))[:, :max_dim]
+        small = FirstOrderRealization(V.T @ real.calE @ V, V.T @ real.calA @ V,
+                                      V.T @ real.calB, real.calC @ V)
+        if np.max(small.pencil_eigenvalues().real) >= 0.0:
             raise UnstableProjection(
-                "projected matrix not c-stable; retry with the strictly "
+                "projected pencil not c-stable; retry with the strictly "
                 "dissipative realization")
-        Gs = V.T @ G
-        rhs = _small_rhs(T, Gs, flavor, band, window)
-        Xs = spla.solve_continuous_lyapunov(T, -rhs)
-        Xs = 0.5 * (Xs + Xs.T)
-        tr = float(np.trace(Xs))
-        trace_history.append(tr)
-        if last_trace is not None and abs(tr - last_trace) <= tol * max(abs(tr), 1e-300):
-            converged = True
+        Ps, Qs, _ = solve_lyap_sign_dual(small.calE, small.calA, *make_rhs(small))
+        traces = np.array([Ps.trace(), Qs.trace()])
+        settled = bool(trace_history) and np.all(
+            np.abs(traces - trace_history[-1]) <= tol * np.abs(traces))
+        trace_history.append(traces)
+        if settled or V.shape[1] >= max_dim:
             break
-        last_trace = tr
-        if V.shape[1] >= max_dim:
-            converged = True
-            break
-    if not converged:
-        raise NotConverged("projection subspace exhausted before the trace settled")
+    else:
+        raise NotConverged("projection subspace exhausted before the traces settled")
 
-    w, U = spla.eigh(Xs)
-    wmax = np.max(np.abs(w)) if w.size else 0.0
-    keep = np.abs(w) > 1e-14 * wmax
-    Z = back(V @ U[:, keep])
     info = {"dim": V.shape[1], "trace_history": trace_history}
-    return GramianFactor(Z, np.diag(w[keep])), info
+    return GramianFactor(V @ Ps.Z, Ps.Y), GramianFactor(V @ Qs.Z, Qs.Y), info

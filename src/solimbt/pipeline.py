@@ -37,6 +37,12 @@ from .system import (
 
 METHODS = ("bt", "flbt", "tlbt")
 
+# ``solver_options`` keys each Gramian solver accepts
+SOLVER_OPTIONS = {
+    "sign": {"tol", "maxiter", "compress_tol"},
+    "projection": {"tol", "num_shifts", "batch", "max_dim"},
+}
+
 
 def alpha_shift(sys, alpha):
     """Shift the frequency variable by ``alpha > 0``:
@@ -112,10 +118,11 @@ class ReductionConfig:
     ``formula`` one of the eight balancing variants.  ``order_tol`` drives
     adaptive order selection against the characteristic-value tail unless
     ``fixed_order`` is set.  ``realization`` is ``"companion"`` (coupling
-    block ``j``: ``"identity"`` or ``"neg_k"``) or ``"dissipative"``
-    (optional ``gamma``; the coupling block is then implicitly the
-    identity).  ``hybrid`` holds ``(omegas, tol)`` sample frequencies for
-    the pre-reduction step, or ``None``.
+    block ``j``: ``"identity"``, ``"neg_k"`` or an explicit ``n x n``
+    matrix) or ``"dissipative"`` (optional ``gamma``; the coupling block is
+    then implicitly the identity).  ``solver_options`` holds keys of
+    ``SOLVER_OPTIONS[solver]`` only.  ``hybrid`` holds ``(omegas, tol)``
+    sample frequencies for the pre-reduction step, or ``None``.
     """
 
     method: str = "bt"
@@ -151,6 +158,9 @@ class ReductionConfig:
             raise InvalidParams("modified Gramians apply to flbt/tlbt only")
         if self.modified and self.solver == "projection":
             raise InvalidParams("modified Gramians need the dense sign solver")
+        bad = sorted(set(self.solver_options) - SOLVER_OPTIONS[self.solver])
+        if bad:
+            raise InvalidParams(f"{self.solver} solver takes no solver_options {bad}")
 
 
 @dataclass
@@ -201,7 +211,7 @@ def reduce(sys, config):
         J = np.eye(work.n)
     else:
         real = first_companion(work, j=config.j)
-        J = np.eye(work.n) if config.j == "identity" else -work.K
+        J = real.calE[:work.n, :work.n]
 
     t0 = time.perf_counter()
     if config.modified:

@@ -394,13 +394,15 @@ def _common_pattern(mats):
     return pattern.indptr, pattern.indices, datas
 
 
-def _shifted_solves(sys, points, dual=False):
-    """The one solver of ``A(s) = s^2 M + s E + K`` for a second-order system.
+def _shifted_solves(obj, points, dual=False):
+    """The one solver of ``A(s) = s^2 M + s E + K`` (input map ``B_u``,
+    output map ``C(s) = C_p + s C_v``) or ``A(s) = s calE - calA`` (``calB``,
+    ``calC``) for a second-order system or a first-order realization.
 
-    Yields, per point ``s``, ``X = A(s)^{-1} B_u``, or the pair ``(X, D)``
-    with the dual directions ``D = A(s)^{-H} (C_p + s C_v)^H`` when
-    ``dual``.  Yields ``None`` where ``A(s)`` is singular or a solution is
-    not finite; callers raise their own typed error, and nothing warns.
+    Yields, per point ``s``, ``X = A(s)^{-1} B``, or the pair ``(X, D)``
+    with the dual directions ``D = A(s)^{-H} C(s)^H`` when ``dual``.  Yields
+    ``None`` where ``A(s)`` is singular or a solution is not finite; callers
+    raise their own typed error, and nothing warns.
 
     Sparse ``M, E, K``: the CSC pattern of ``M + E + K`` and the entries of
     each matrix on it are built once, so a point costs one vector
@@ -408,12 +410,15 @@ def _shifted_solves(sys, points, dual=False):
     for ``X`` alone (it exploits banded structure), one LAPACK LU shared by
     both solves when ``dual``.
     """
-    B = sys.B_u.astype(complex)
-    sparse = scipy.sparse.issparse(sys.M)
+    first = isinstance(obj, FirstOrderRealization)
+    B = (obj.calB if first else obj.B_u).astype(complex)
+    sparse = not first and scipy.sparse.issparse(obj.M)
+    operator = ((lambda s: s * obj.calE - obj.calA) if first
+                else (lambda s: s * s * obj.M + s * obj.E + obj.K))
     if sparse:
-        indptr, indices, (dM, dE, dK) = _common_pattern((sys.M, sys.E, sys.K))
+        indptr, indices, (dM, dE, dK) = _common_pattern((obj.M, obj.E, obj.K))
         A = scipy.sparse.csc_array((dK.astype(complex), indices, indptr),
-                                   shape=sys.M.shape)
+                                   shape=obj.M.shape)
     for s in points:
         D = None
         try:
@@ -422,15 +427,15 @@ def _shifted_solves(sys, points, dual=False):
                 lu = sla.splu(A)
                 X = lu.solve(B)
                 if dual:
-                    D = lu.solve((sys.C_p + s * sys.C_v).conj().T, trans="H")
+                    D = lu.solve(_output_map(obj, s).conj().T, trans="H")
             elif dual:
-                lu = _getrf(s * s * sys.M + s * sys.E + sys.K)
+                lu = _getrf(operator(s))
                 if lu is None:
                     raise spla.LinAlgError("exactly zero pivot")
                 X = spla.lu_solve(lu, B)
-                D = spla.lu_solve(lu, (sys.C_p + s * sys.C_v).conj().T, trans=2)
+                D = spla.lu_solve(lu, _output_map(obj, s).conj().T, trans=2)
             else:
-                X = spla.solve(s * s * sys.M + s * sys.E + sys.K, B)
+                X = spla.solve(operator(s), B)
         except (spla.LinAlgError, RuntimeError):  # RuntimeError: SuperLU
             yield None
             continue
@@ -438,6 +443,11 @@ def _shifted_solves(sys, points, dual=False):
             yield None
         else:
             yield (X, D) if dual else X
+
+
+def _output_map(obj, s):
+    """``C(s)`` of :func:`_shifted_solves`."""
+    return obj.calC if isinstance(obj, FirstOrderRealization) else obj.C_p + s * obj.C_v
 
 
 def eval_transfer(obj, s, skip_poles=False):
@@ -469,18 +479,9 @@ def eval_transfer(obj, s, skip_poles=False):
     # exactly singular points produce inf/nan instead of LinAlgError on some
     # LAPACK paths; silence the numpy noise and catch them afterwards
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        if isinstance(obj, SecondOrderSystem):
-            for i, (sk, X) in enumerate(zip(pts, _shifted_solves(obj, pts))):
-                if X is not None:
-                    out[i] = (obj.C_p + sk * obj.C_v) @ X
-        else:
-            B = obj.calB.astype(complex)
-            for i, sk in enumerate(pts):
-                try:
-                    X = spla.solve(sk * obj.calE - obj.calA, B)
-                except spla.LinAlgError:
-                    continue
-                out[i] = obj.calC @ X
+        for i, (sk, X) in enumerate(zip(pts, _shifted_solves(obj, pts))):
+            if X is not None:
+                out[i] = _output_map(obj, sk) @ X
     bad = ~np.all(np.isfinite(out), axis=(1, 2))
     if np.any(bad):
         if not skip_poles:

@@ -157,6 +157,13 @@ def test_reduce_config_errors(tmp_path, capsys):
     code, err = run({**base, "method": "bt",
                      "solver_options": {"bogus": 1}})
     assert code == 2 and "bogus" in err
+    # each solver accepts only its own options
+    code, err = run({**base, "method": "bt", "solver": "projection",
+                     "solver_options": {"maxiter": 5}})
+    assert code == 2 and "maxiter" in err
+    code, err = run({**base, "method": "bt", "solver": "sign",
+                     "solver_options": {"num_shifts": 8}})
+    assert code == 2 and "num_shifts" in err
     code, err = run({**base, "method": "bt", "order": {"r": 3}})
     assert code == 2
     code, err = run({**base, "method": "flbt",

@@ -181,27 +181,61 @@ def test_projection_solver_dispatch():
     proj = slt.frequency_limited_gramians(real, band, solver="projection")
     assert_allclose(proj.controllability.matrix(),
                     sign.controllability.matrix(), rtol=1e-6, atol=1e-10)
-    assert set(proj.info) == {"controllability", "observability"}
-    assert "dim" in proj.info["controllability"]
+    assert_allclose(proj.observability.matrix(),
+                    sign.observability.matrix(), rtol=1e-6, atol=1e-10)
+    assert 0 < proj.info["dim"] <= real.N
     with pytest.raises(errors.InvalidParams):
         slt.infinite_gramians(real, solver="magic")
 
 
-def _no_full_rhs(*args, **kwargs):
-    raise AssertionError("full-order limited right-hand side built")
-
-
 def test_projection_solver_builds_no_full_order_rhs(monkeypatch):
-    # the projection solver evaluates the band/window on the projected pencil
-    monkeypatch.setattr(slt.matfun, "freq_limited_rhs", _no_full_rhs)
-    monkeypatch.setattr(slt.matfun, "time_limited_rhs", _no_full_rhs)
-    sys = slt.generate_chain(6)
+    # the projection solver evaluates the band/window on the projected
+    # realization only; n=40 is large enough for the subspace to stop short
+    sizes = []
+
+    def spy(builder):
+        def wrapped(real, *args, **kwargs):
+            sizes.append(real.N)
+            return builder(real, *args, **kwargs)
+        return wrapped
+
+    for name in ("freq_limited_rhs", "time_limited_rhs"):
+        monkeypatch.setattr(slt.matfun, name, spy(getattr(slt.matfun, name)))
+    sys = slt.generate_chain(40)
     for config in (slt.ReductionConfig(method="flbt", solver="projection",
                                        band=slt.FrequencyBand([(0.05, 0.3)]),
                                        realization="dissipative", fixed_order=2),
                    slt.ReductionConfig(method="tlbt", solver="projection",
                                        window=slt.TimeWindow(0.0, 5.0),
                                        realization="dissipative", fixed_order=2)):
+        sizes.clear()
         rom = slt.reduce(sys, config)
         assert rom.stable and rom.r == 2
         assert rom.details["solver"] == "projection"
+        assert sizes and max(sizes) < 2 * sys.n
+
+
+def _rel(X, ref):
+    return np.linalg.norm(X - ref) / np.linalg.norm(ref)
+
+
+def test_projection_matches_sign_route_n300():
+    # the paper's benchmark size: one subspace serves both sides, for a band
+    # and a window on the dissipative form, and the identity-coupled
+    # companion form projects to a c-stable pencil
+    sys = slt.generate_chain(300)
+    real = slt.strictly_dissipative(sys)
+    for build, arg in ((slt.frequency_limited_gramians,
+                        slt.FrequencyBand([(0.05, 0.3)])),
+                       (slt.time_limited_gramians, slt.TimeWindow(0.0, 25.0))):
+        sign = build(real, arg)
+        proj = build(real, arg, solver="projection")
+        assert proj.info["dim"] < real.N
+        for side in ("controllability", "observability"):
+            assert _rel(getattr(proj, side).matrix(),
+                        getattr(sign, side).matrix()) <= 1e-8
+    companion = slt.first_companion(sys)
+    proj = slt.infinite_gramians(companion, solver="projection")
+    sign = slt.infinite_gramians(companion)
+    assert _rel(proj.controllability.matrix(),
+                sign.controllability.matrix()) <= 1e-5

@@ -163,32 +163,35 @@ def test_oracle_guards():
 
 # ----------------------------------------------------------------- projection
 
+def _definite_rhs(real):
+    return (slt.IndefiniteRhs.definite(real.calB),
+            slt.IndefiniteRhs.definite(real.calC.T))
+
+
+def _assert_pair_matches_oracle(real, P, Q, rtol, atol):
+    refP = slt.solve_lyap_dense_oracle(real.calA, real.calE,
+                                       real.calB @ real.calB.T)
+    refQ = slt.solve_lyap_dense_oracle(real.calA.T, real.calE.T,
+                                       real.calC.T @ real.calC)
+    assert_allclose(P.matrix(), refP, rtol=rtol, atol=atol)
+    assert_allclose(Q.matrix(), refQ, rtol=rtol, atol=atol)
+
+
 def test_projection_infinite_matches_oracle():
     rng = np.random.default_rng(5)
     sys = random_second_order(rng, 5, m=1, p=2)
     real = slt.strictly_dissipative(sys)
-    for side, (Amat, Emat, R) in {
-        "controllability": (real.calA, real.calE, real.calB @ real.calB.T),
-        "observability": (real.calA.T, real.calE.T, real.calC.T @ real.calC),
-    }.items():
-        X, info = slt.solve_lyap_projection(real, side=side)
-        ref = slt.solve_lyap_dense_oracle(Amat, Emat, R)
-        assert_allclose(X.matrix(), ref, rtol=1e-8, atol=1e-10)
-        assert info["dim"] <= real.N
+    P, Q, info = slt.solve_lyap_projection_dual(real, _definite_rhs)
+    _assert_pair_matches_oracle(real, P, Q, rtol=1e-8, atol=1e-10)
+    assert info["dim"] <= real.N
 
 
 def test_projection_companion_realization():
-    # Generic path (no Cholesky transform): full subspace makes it exact.
+    # identity-coupled companion form: full subspace makes it exact
     sys = slt.generate_chain(5)
     real = slt.first_companion(sys)
-    P, _ = slt.solve_lyap_projection(real)
-    ref = slt.solve_lyap_dense_oracle(real.calA, real.calE,
-                                      real.calB @ real.calB.T)
-    assert_allclose(P.matrix(), ref, rtol=1e-7, atol=1e-9)
-    Q, _ = slt.solve_lyap_projection(real, side="observability")
-    refQ = slt.solve_lyap_dense_oracle(real.calA.T, real.calE.T,
-                                       real.calC.T @ real.calC)
-    assert_allclose(Q.matrix(), refQ, rtol=1e-7, atol=1e-9)
+    P, Q, _ = slt.solve_lyap_projection_dual(real, _definite_rhs)
+    _assert_pair_matches_oracle(real, P, Q, rtol=1e-7, atol=1e-9)
 
 
 def test_projection_band_window_match_sign_route():
@@ -196,40 +199,26 @@ def test_projection_band_window_match_sign_route():
     real = slt.strictly_dissipative(sys)
     band = slt.FrequencyBand([(0.05, 0.3)])
     win = slt.TimeWindow(0.0, 25.0)
-
-    pair = slt.frequency_limited_gramians(real, band)
-    P, _ = slt.solve_lyap_projection(real, flavor="band", band=band)
-    assert_allclose(P.matrix(), pair.controllability.matrix(),
-                    rtol=1e-6, atol=1e-10)
-
-    tpair = slt.time_limited_gramians(real, win)
-    Pt, _ = slt.solve_lyap_projection(real, flavor="window", window=win)
-    assert_allclose(Pt.matrix(), tpair.controllability.matrix(),
-                    rtol=1e-6, atol=1e-10)
+    for build, arg in ((slt.frequency_limited_gramians, band),
+                       (slt.time_limited_gramians, win)):
+        sign = build(real, arg)
+        proj = build(real, arg, solver="projection")
+        for side in ("controllability", "observability"):
+            assert_allclose(getattr(proj, side).matrix(),
+                            getattr(sign, side).matrix(), rtol=1e-6, atol=1e-10)
 
 
 def test_projection_unstable_projected_matrix():
     real = slt.FirstOrderRealization(np.eye(1), np.array([[0.1]]),
                                      np.ones((1, 1)), np.ones((1, 1)))
     with pytest.raises(errors.UnstableProjection):
-        slt.solve_lyap_projection(real)
+        slt.solve_lyap_projection_dual(real, _definite_rhs)
 
 
 def test_projection_shift_budget_exhausted():
+    # one shift spans 4 of 6 dimensions, and one trace cannot settle
     rng = np.random.default_rng(6)
     real = stable_generic(rng, 6, m=1, p=1)
     with pytest.raises(errors.NotConverged):
-        slt.solve_lyap_projection(real, shifts=np.array([1.0]), batch=1)
-
-
-def test_projection_validation():
-    rng = np.random.default_rng(7)
-    real = stable_generic(rng, 4)
-    with pytest.raises(errors.InvalidParams):
-        slt.solve_lyap_projection(real, flavor="bogus")
-    with pytest.raises(errors.InvalidParams):
-        slt.solve_lyap_projection(real, flavor="band")  # band missing
-    with pytest.raises(errors.InvalidParams):
-        slt.solve_lyap_projection(real, flavor="window")  # window missing
-    with pytest.raises(errors.InvalidParams):
-        slt.solve_lyap_projection(real, side="sideways")
+        slt.solve_lyap_projection_dual(real, _definite_rhs,
+                                       shifts=np.array([1.0]), batch=1)

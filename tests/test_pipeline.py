@@ -83,12 +83,31 @@ def test_config_validation():
         dict(solver="nope"),
         dict(method="bt", modified=True),
         dict(method="flbt", band=band, modified=True, solver="projection"),
+        # each solver takes only its own options
+        dict(solver="projection", solver_options={"maxiter": 5}),
+        dict(solver="sign", solver_options={"num_shifts": 8}),
+        dict(method="flbt", band=band, modified=True,
+             solver_options={"batch": 2}),
     ]
     for kwargs in bad:
         with pytest.raises(errors.InvalidParams):
             slt.ReductionConfig(**kwargs).validate()
     slt.ReductionConfig(method="flbt", band=band).validate()
     slt.ReductionConfig(method="tlbt", window=win).validate()
+    slt.ReductionConfig(solver="projection",
+                        solver_options={"tol": 1e-6, "num_shifts": 8}).validate()
+
+
+def test_reduce_coupling_block_choices():
+    # the characteristic values do not depend on J, however it is given
+    sys = slt.generate_chain(20)
+    two = 2.0 * np.eye(sys.n)
+    sigmas = [slt.reduce(sys, slt.ReductionConfig(method="bt", formula="fv",
+                                                  j=j)).sigma
+              for j in ("identity", "neg_k", two, two.tolist())]
+    assert sigmas[0][0] == pytest.approx(0.2015, abs=1e-4)
+    for sigma in sigmas[1:]:
+        assert_allclose(sigma[:5], sigmas[0][:5], rtol=1e-8)
 
 
 def test_reduce_bt_basic():

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 import solimbt as slt
 from solimbt import errors
-from solimbt.system import dissipative_backtransform_matrix
+from solimbt.system import _shifted_solves, dissipative_backtransform_matrix
 
 from helpers import random_second_order, random_spd
 
@@ -253,6 +253,30 @@ def test_eval_transfer_at_pole_sparse():
         H = slt.eval_transfer(sys, np.array([0.5j, 1j]), skip_poles=True)
     assert H[0, 0, 0] == pytest.approx(1.0 / 0.75)
     assert np.isnan(H[1]).all()
+
+
+def test_shifted_solves_first_order_dual():
+    # companion form with J = I: (s calE - calA)^{-1} calB = [x; s x] for
+    # x = (s^2 M + s E + K)^{-1} B_u, and D solves the conjugate transpose
+    rng = np.random.default_rng(12)
+    sys = random_second_order(rng, 4, m=2, p=3)
+    real = slt.first_companion(sys)
+    pts = np.array([0.3j, 1.0 + 2.0j])
+    first = list(_shifted_solves(real, pts, dual=True))
+    for s, (X, D), x in zip(pts, first, _shifted_solves(sys, pts)):
+        assert_allclose(X, np.vstack([x, s * x]), rtol=1e-12, atol=1e-14)
+        Ah = (s * real.calE - real.calA).conj().T
+        assert_allclose(Ah @ D, real.calC.conj().T, atol=1e-12)
+    H = slt.eval_transfer(real, pts)
+    assert_allclose(H, slt.eval_transfer(sys, pts), rtol=1e-12)
+    # a pole of the realization: typed error, and no warning
+    osc = slt.FirstOrderRealization(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                                    np.ones((2, 1)), np.ones((1, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.SingularAtFrequency):
+            slt.eval_transfer(osc, 1j)
+        assert list(_shifted_solves(osc, [1j], dual=True)) == [None]
 
 
 def test_simulate_scalar_step():
