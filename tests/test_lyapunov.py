@@ -213,6 +213,11 @@ def test_projection_unstable_projected_matrix():
                                      np.ones((1, 1)), np.ones((1, 1)))
     with pytest.raises(errors.UnstableProjection):
         slt.solve_lyap_projection_dual(real, _definite_rhs)
+    # a shift on a pole (+-i) of the full pencil
+    osc = slt.FirstOrderRealization(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                                    np.ones((2, 1)), np.ones((1, 2)))
+    with pytest.raises(errors.UnstablePencil):
+        slt.solve_lyap_projection_dual(osc, _definite_rhs, shifts=np.array([1.0]))
 
 
 def test_projection_shift_budget_exhausted():
