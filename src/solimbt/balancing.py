@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as spla
+import scipy.sparse
+import scipy.sparse.linalg as sla
 
 from .errors import (
     EmptySpectrum,
@@ -128,7 +130,8 @@ def second_order_projectors(parts, J, M, formula, order_tol=1e-4, fixed_r=None):
         :class:`~solimbt.gramians.PartitionedFactors`.
     J, M
         Coupling block of the companion form the Gramians belong to, and the
-        mass matrix (needed by the ``vpm``/``pm`` variants).
+        mass matrix (dense or sparse; ``vpm``/``pm`` solve with ``M^T``,
+        through SuperLU when ``M`` is sparse).
     formula
         One of :data:`FORMULAS`.
 
@@ -150,8 +153,11 @@ def second_order_projectors(parts, J, M, formula, order_tol=1e-4, fixed_r=None):
                 warnings.catch_warnings():
             warnings.simplefilter("ignore", spla.LinAlgWarning)
             try:
-                out = spla.solve(M.T, X)
-            except spla.LinAlgError as exc:
+                if scipy.sparse.issparse(M):
+                    out = sla.splu(M).solve(X, trans="T")
+                else:
+                    out = spla.solve(M.T, X)
+            except (spla.LinAlgError, RuntimeError) as exc:  # RuntimeError: SuperLU
                 raise SingularM(
                     "mass matrix solve failed in projector assembly") from exc
         if not np.all(np.isfinite(out)):

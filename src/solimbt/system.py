@@ -12,8 +12,9 @@ either the first companion form (free invertible coupling block ``J``) or,
 for symmetric positive definite ``M, E, K``, a strictly dissipative
 realization whose symmetric part is definite.
 
-``M``, ``E`` and ``K`` may be sparse.  Shifted solves with
-``s^2 M + s E + K`` (transfer evaluation, hybrid pre-reduction) then use
+``M``, ``E`` and ``K`` may be sparse (:func:`generate_chain` and loaded
+bundles are).  Shifted solves with ``s^2 M + s E + K`` (transfer
+evaluation, hybrid pre-reduction) and the simulation step then use
 SuperLU; the first-order realizations and everything built on them are
 dense.
 """
@@ -108,8 +109,8 @@ class SecondOrderSystem:
     """Container for the matrices of a second-order system.
 
     ``M``, ``E`` and ``K`` are either all dense arrays or all
-    ``scipy.sparse.csc_array`` (model bundles load sparse); ``B_u``, ``C_p``
-    and ``C_v`` are always dense.  Treat instances as immutable; all
+    ``scipy.sparse.csc_array`` (loaded bundles and chains are sparse);
+    ``B_u``, ``C_p`` and ``C_v`` are always dense.  Treat instances as immutable; all
     consumers rely on the matrices not changing after construction.
     """
 
@@ -506,6 +507,10 @@ def generate_chain(n, masses=100.0, ground_stiffness=None, coupling_stiffness=2.
     default to the heavier end-anchoring used throughout the examples
     (``kappa = 4`` and ``delta = 10`` at both ends, ``2`` and ``5`` inside).
 
+    Returns a :class:`SecondOrderSystem` with ``M``, ``E`` and ``K`` as
+    ``scipy.sparse.csc_array`` (diagonal and tridiagonal) and dense ``B_u``,
+    ``C_p``, ``C_v``.
+
     Raises
     ------
     InvalidParams
@@ -540,12 +545,11 @@ def generate_chain(n, masses=100.0, ground_stiffness=None, coupling_stiffness=2.
 
     def tridiag(ground, coupling):
         pad = np.concatenate([[0.0], coupling, [0.0]])
-        A = np.diag(ground + pad[:-1] + pad[1:])
-        A -= np.diag(coupling, 1)
-        A -= np.diag(coupling, -1)
-        return A
+        return scipy.sparse.diags_array(
+            [-coupling, ground + pad[:-1] + pad[1:], -coupling],
+            offsets=[-1, 0, 1], format="csc")
 
-    M = np.diag(mass)
+    M = scipy.sparse.diags_array(mass, format="csc")
     K = tridiag(kappa, k)
     E = tridiag(delta, d)
     B_u = np.zeros((n, 1))
@@ -615,7 +619,9 @@ def simulate(obj, signal, t, return_states=False):
 
     which is the trapezoidal rule on any first companion form, with one
     ``n x n`` factorization instead of one of size ``2n``.  Sparse ``M``,
-    ``E``, ``K`` are densified first.  A :class:`FirstOrderRealization` is
+    ``E``, ``K`` stay sparse: one SuperLU factorization of ``S`` and one
+    CSR product with ``[-h K, M - h/2 E - h^2/4 K]`` per step; dense ones
+    use LAPACK ``getrf``/``getrs``.  A :class:`FirstOrderRealization` is
     stepped on its pencil with ``calE - h/2 calA``.
 
     Parameters
@@ -648,11 +654,12 @@ def simulate(obj, signal, t, return_states=False):
     hh = 0.5 * h
     second_order = isinstance(obj, SecondOrderSystem)
     if second_order:
-        obj = _dense(obj)
         n = obj.n
         hhK = hh * hh * obj.K
         lhs = obj.M + hh * obj.E + hhK
-        rhs_mat = np.hstack([-h * obj.K, obj.M - hh * obj.E - hhK])
+        blocks = [-h * obj.K, obj.M - hh * obj.E - hhK]
+        rhs_mat = (scipy.sparse.hstack(blocks, format="csr")
+                   if scipy.sparse.issparse(lhs) else np.hstack(blocks))
         hB = hh * obj.B_u
         C = np.hstack([obj.C_p, obj.C_v])
     else:
@@ -660,12 +667,19 @@ def simulate(obj, signal, t, return_states=False):
         rhs_mat = obj.calE + hh * obj.calA
         hB = hh * obj.calB
         C = obj.calC
-    lu = _getrf(lhs)
-    if lu is None:
+    # only the factorization and the solve differ between sparse and dense
+    if scipy.sparse.issparse(lhs):
+        try:
+            solve = sla.splu(lhs).solve
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            solve = None
+    else:
+        lu = _getrf(lhs)
+        getrs, = spla.get_lapack_funcs(("getrs",), (lhs,))
+        solve = lu and (lambda b: getrs(*lu, b, overwrite_b=1)[0])
+    if solve is None:
         raise NonFiniteState(f"trapezoidal step matrix is singular: s={2.0 / h:.6g} "
                              "is a pole")
-    lu, piv = lu
-    getrs, = spla.get_lapack_funcs(("getrs",), (lu,))
 
     U = signal.sample(t, hB.shape[1])
     Usum = U[:-1] + U[1:]
@@ -679,7 +693,7 @@ def simulate(obj, signal, t, return_states=False):
     # report it as a typed error instead
     with np.errstate(over="ignore", invalid="ignore"):
         for kk in range(t.size - 1):
-            z, _ = getrs(lu, piv, rhs_mat @ q + hB @ Usum[kk], overwrite_b=1)
+            z = solve(rhs_mat @ q + hB @ Usum[kk])
             if second_order:  # z is the new velocity
                 # x += h/2 (v_0 + v_1), without overflowing in v_0 + v_1
                 q[:n] += hh * q[n:] + hh * z

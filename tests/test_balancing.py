@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 import scipy.linalg as spla
+import scipy.sparse
 from numpy.testing import assert_allclose
 
 import solimbt as slt
 from solimbt import errors
 from solimbt.gramians import PartitionedFactors
+from solimbt.system import _dense
 
 from helpers import stable_generic
 
@@ -108,9 +110,29 @@ def test_rank_deficient_product():
 def test_singular_mass_in_projector():
     ident = np.eye(2)
     parts = PartitionedFactors(R_p=ident, R_v=ident, L_p=ident, L_v=ident)
-    with pytest.raises(errors.SingularM):
-        slt.second_order_projectors(parts, ident, np.zeros((2, 2)), "vpm",
-                                    fixed_r=1)
+    for M in (np.zeros((2, 2)), scipy.sparse.csc_array((2, 2))):
+        with pytest.raises(errors.SingularM):
+            slt.second_order_projectors(parts, ident, M, "vpm", fixed_r=1)
+
+
+def test_projectors_sparse_mass_match_dense():
+    # the chain's CSC M (and a loaded bundle's) gives the ROMs of its dense
+    # copy; vpm and pm solve with M^T through SuperLU instead of LAPACK
+    sys = slt.generate_chain(20)
+    dense = _dense(sys)
+    assert scipy.sparse.issparse(sys.M) and isinstance(dense.M, np.ndarray)
+    parts = slt.partition(slt.infinite_gramians(slt.first_companion(sys)), sys.n)
+    J = np.eye(sys.n)
+    for formula in slt.FORMULAS:
+        roms = []
+        for model in (sys, dense):
+            res = slt.second_order_projectors(parts, J, model.M, formula, fixed_r=4)
+            roms.append(slt.so_reconstruct(model, J, res) if formula == "so"
+                        else slt.apply_projection(model, res.W, res.T))
+        for name in ("M", "E", "K", "B_u", "C_p", "C_v"):
+            got, ref = getattr(roms[0], name), getattr(roms[1], name)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), \
+                (formula, name)
 
 
 def test_singular_coupling_matrix():

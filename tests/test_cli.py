@@ -86,9 +86,9 @@ def test_generate_deterministic(tmp_path):
                (tmp_path / "m2" / fname).read_bytes()
     loaded, _ = slt.load_bundle(out1)
     ref = slt.generate_chain(12)
-    for back in (loaded.M, loaded.E, loaded.K):
+    for back in (loaded.M, loaded.E, loaded.K, ref.M, ref.E, ref.K):
         assert scipy.sparse.issparse(back)
-    assert np.array_equal(loaded.K.toarray(), ref.K)
+    assert np.array_equal(loaded.K.toarray(), ref.K.toarray())
 
 
 # -------------------------------------------------------------------- reduce

@@ -1,5 +1,6 @@
 """Second-order containers, realizations, simulation and stability checks."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,9 @@ def test_chain_matrices_frozen():
     # n = 4: ground springs 4,2,2,4 / dampers 10,5,5,10, couplings k=2, d=5,
     # masses 100.  Assembled by hand.
     sys = slt.generate_chain(4)
-    assert_allclose(sys.M, 100.0 * np.eye(4))
+    for A in (sys.M, sys.E, sys.K):
+        assert isinstance(A, scipy.sparse.csc_array)
+    assert_allclose(sys.M.toarray(), 100.0 * np.eye(4))
     K = np.array([[6.0, -2.0, 0.0, 0.0],
                   [-2.0, 6.0, -2.0, 0.0],
                   [0.0, -2.0, 6.0, -2.0],
@@ -28,8 +31,8 @@ def test_chain_matrices_frozen():
                   [-5.0, 15.0, -5.0, 0.0],
                   [0.0, -5.0, 15.0, -5.0],
                   [0.0, 0.0, -5.0, 15.0]])
-    assert_allclose(sys.K, K)
-    assert_allclose(sys.E, E)
+    assert_allclose(sys.K.toarray(), K)
+    assert_allclose(sys.E.toarray(), E)
     B = np.zeros((4, 1))
     B[0, 0] = 1.0
     assert_allclose(sys.B_u, B)
@@ -46,13 +49,14 @@ def test_chain_custom_parameters():
                              coupling_stiffness=[10.0, 20.0],
                              ground_damping=[0.1, 0.2, 0.3],
                              coupling_damping=1.0)
-    assert_allclose(sys.M, np.diag([1.0, 2.0, 3.0]))
-    assert_allclose(sys.K, np.array([[11.0, -10.0, 0.0],
-                                     [-10.0, 31.0, -20.0],
-                                     [0.0, -20.0, 21.0]]))
-    assert_allclose(sys.E, np.array([[1.1, -1.0, 0.0],
-                                     [-1.0, 2.2, -1.0],
-                                     [0.0, -1.0, 1.3]]))
+    assert all(scipy.sparse.issparse(A) for A in (sys.M, sys.E, sys.K))
+    assert_allclose(sys.M.toarray(), np.diag([1.0, 2.0, 3.0]))
+    assert_allclose(sys.K.toarray(), np.array([[11.0, -10.0, 0.0],
+                                               [-10.0, 31.0, -20.0],
+                                               [0.0, -20.0, 21.0]]))
+    assert_allclose(sys.E.toarray(), np.array([[1.1, -1.0, 0.0],
+                                               [-1.0, 2.2, -1.0],
+                                               [0.0, -1.0, 1.3]]))
 
 
 def test_chain_invalid_parameters():
@@ -106,20 +110,22 @@ def test_singular_mass_factorization_check():
 
 def test_companion_structure():
     sys = slt.generate_chain(2)
+    assert all(scipy.sparse.issparse(A) for A in (sys.M, sys.E, sys.K))
     real = slt.first_companion(sys)
     assert real.kind == "companion"
     n = 2
+    M, E, K = (A.toarray() for A in (sys.M, sys.E, sys.K))
     assert_allclose(real.calE[:n, :n], np.eye(n))
-    assert_allclose(real.calE[n:, n:], sys.M)
+    assert_allclose(real.calE[n:, n:], M)
     assert_allclose(real.calA[:n, n:], np.eye(n))
-    assert_allclose(real.calA[n:, :n], -sys.K)
-    assert_allclose(real.calA[n:, n:], -sys.E)
+    assert_allclose(real.calA[n:, :n], -K)
+    assert_allclose(real.calA[n:, n:], -E)
     assert_allclose(real.calB[n:], sys.B_u)
     assert_allclose(real.calC, np.hstack([sys.C_p, sys.C_v]))
 
     neg = slt.first_companion(sys, j="neg_k")
-    assert_allclose(neg.calE[:n, :n], -sys.K)
-    assert_allclose(neg.calA[:n, n:], -sys.K)
+    assert_allclose(neg.calE[:n, :n], -K)
+    assert_allclose(neg.calA[:n, n:], -K)
 
 
 def test_companion_transfer_invariant_under_j():
@@ -332,10 +338,16 @@ def test_simulate_second_order_skips_companion(monkeypatch):
     assert np.all(np.isfinite(traj.outputs))
 
 
+def _with_csc(sys):
+    """``sys`` and the same model with CSC ``M``, ``E``, ``K``."""
+    mats = (scipy.sparse.csc_array(A) for A in (sys.M, sys.E, sys.K))
+    return sys, slt.make_second_order(*mats, sys.B_u, sys.C_p, sys.C_v)
+
+
 def test_simulate_second_order_divergence():
     # negative stiffness: a real pole near +1, and one at +0.1 where the
-    # position overflows well before the velocity; both forms report the
-    # same step
+    # position overflows well before the velocity; the dense and the sparse
+    # model and the companion form report the same step, without warnings
     near_one = slt.make_second_order(np.eye(2), 0.1 * np.eye(2), -np.eye(2),
                                      np.ones((2, 1)), np.ones((1, 2)),
                                      np.ones((1, 2)))
@@ -343,21 +355,25 @@ def test_simulate_second_order_divergence():
                                  [[1.0]], [[0.0]])
     for sys, when in ((near_one, "733"), (slow, "7057.5")):
         messages = []
-        for obj in (sys, slt.first_companion(sys)):
-            with pytest.raises(errors.NonFiniteState) as exc:
-                slt.simulate(obj, slt.StepSignal(), np.arange(0.0, 8000.0, 0.5))
-            messages.append(str(exc.value))
-        assert messages[0] == messages[1] == f"state became non-finite at t={when}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for obj in (*_with_csc(sys), slt.first_companion(sys)):
+                with pytest.raises(errors.NonFiniteState) as exc:
+                    slt.simulate(obj, slt.StepSignal(), np.arange(0.0, 8000.0, 0.5))
+                messages.append(str(exc.value))
+        assert messages == 3 * [f"state became non-finite at t={when}"]
 
 
 def test_simulate_singular_step_matrix():
-    # M + h/2 E + h^2/4 K = 1 - 16/16 = 0 at h = 0.5: s = 2/h = 4 is a pole
+    # M + h/2 E + h^2/4 K = 1 - 16/16 = 0 at h = 0.5: s = 2/h = 4 is a pole;
+    # LAPACK and SuperLU both find it
     sys = slt.make_second_order([[1.0]], [[0.0]], [[-16.0]], [[1.0]],
                                 [[1.0]], [[0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for obj in (sys, slt.first_companion(sys)):
-            with pytest.raises(errors.NonFiniteState, match="singular"):
+        for obj in (*_with_csc(sys), slt.first_companion(sys)):
+            with pytest.raises(errors.NonFiniteState,
+                               match=r"singular: s=4 is a pole"):
                 slt.simulate(obj, slt.StepSignal(), np.arange(0.0, 5.0, 0.5))
 
 
@@ -371,6 +387,23 @@ def test_simulate_deterministic_and_states():
     assert a.states.shape == (401, 10)
     assert_allclose(a.states[0], np.zeros(10))
     assert slt.simulate(sys, slt.StepSignal(), t).states is None
+
+
+def test_large_sparse_chain_responses_stay_sparse():
+    # n = 20,000: one dense copy of M would take 3.2 GB, so a response that
+    # densified the model anywhere would blow the 64 MB budget
+    sys = slt.generate_chain(20000)
+    t = np.linspace(0.0, 20.0, 201)
+    tracemalloc.start()
+    try:
+        traj = slt.simulate(sys, slt.StepSignal(), t)
+        H = slt.eval_transfer(sys, 1j * np.logspace(-2, 1, 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert np.all(np.isfinite(traj.outputs)) and np.all(np.isfinite(H))
+    assert np.max(np.abs(traj.outputs)) > 0
 
 
 def test_signals():
