@@ -6,7 +6,7 @@ The workhorse is a matrix-sign-function iteration that solves the pair
     calA^T X2 calE + calE^T X2 calA + G_o S_o G_o^T = 0
 
 simultaneously (both equations share the same iteration matrices, so one
-stream of LU factorizations serves both).  Right-hand sides are kept in
+inverse per step serves both).  Right-hand sides are kept in
 factored indefinite form ``G S G^T``, which is exactly what the limited
 balancing variants produce.  A dense Kronecker solver acts as an independent
 reference at small sizes.
@@ -32,7 +32,7 @@ from .errors import (
     UnstablePencil,
     UnstableProjection,
 )
-from .system import FirstOrderRealization, _shifted_solves
+from .system import FirstOrderRealization, _getrf, _shifted_solves
 
 
 @dataclass
@@ -117,6 +117,9 @@ def solve_lyap_sign_dual(calE, calA, rhs_c, rhs_o, tol=1e-12, maxiter=100,
     """Sign-function iteration for the dual pair of generalized Lyapunov
     equations with factored indefinite right-hand sides.
 
+    One LU of ``calE`` turns the pair into the standard-form equations for
+    ``X = calE^{-1} calA``; the iteration then takes one inverse per step.
+
     Parameters
     ----------
     calE, calA
@@ -126,8 +129,8 @@ def solve_lyap_sign_dual(calE, calA, rhs_c, rhs_o, tol=1e-12, maxiter=100,
         (``G_c S_c G_c^T``) and observability (``G_o S_o G_o^T``) right-hand
         sides.
     tol
-        Relative stopping tolerance on ``||A_k + calE||_F / ||calE||_F``
-        (Frobenius norms throughout).
+        Stopping tolerance on ``||X_k + I||_F / sqrt(N)``, the distance of
+        the iterate from its limit ``sign(X) = -I``.
     compress_tol
         Column compression tolerance applied to both factor streams each
         iteration.
@@ -141,58 +144,61 @@ def solve_lyap_sign_dual(calE, calA, rhs_c, rhs_o, tol=1e-12, maxiter=100,
     Raises
     ------
     UnstablePencil
-        If an iterate becomes singular or the iteration diverges.
+        If ``calE`` or an iterate is singular, or the iteration diverges.
     NotConverged
         If the cap of ``maxiter`` iterations is hit.
     """
-    A = np.array(calA, dtype=float)
+    A = np.asarray(calA, dtype=float)
     E = np.asarray(calE, dtype=float)
     N = A.shape[0]
     if A.shape != (N, N) or E.shape != (N, N):
         raise DimensionMismatch("calA and calE must be square and equal-sized")
-    B, Yc = rhs_c.G.copy(), rhs_c.S.copy()
-    Ct, Yo = rhs_o.G.copy(), rhs_o.S.copy()
+    B, Yc = rhs_c.G, rhs_c.S
+    Ct, Yo = rhs_o.G, rhs_o.S
     if B.shape[0] != N or Ct.shape[0] != N:
         raise DimensionMismatch("right-hand side factors must have N rows")
+    lu_E = _getrf(E)
+    if lu_E is None:
+        raise UnstablePencil("singular calE; the pencil has an infinite eigenvalue")
 
-    normE = spla.norm(E)
-    norm_scale = max(spla.norm(A), normE)
-    rel_err = spla.norm(A + E) / normE
+    # standard form in X = calE^{-1} calA: X P + P X^T + G S_c G^T = 0 with
+    # G = calE^{-1} G_c, and X^T W + W X + G_o S_o G_o^T = 0 with W = calE^T Q calE
+    X = spla.lu_solve(lu_E, A)
+    B = spla.lu_solve(lu_E, B)
+    ident = np.eye(N)
+    norm_scale = max(spla.norm(X), np.sqrt(N))
+    rel_err = spla.norm(X + ident) / np.sqrt(N)
     num_iter = 0
     while rel_err > tol and num_iter < maxiter:
         try:
-            lu, piv = spla.lu_factor(A)
+            Xinv = spla.inv(X)
         except spla.LinAlgError as exc:
             raise UnstablePencil("singular iterate; pencil eigenvalue at the origin") from exc
-        EAinvE = E @ spla.lu_solve((lu, piv), E)
-        if not np.all(np.isfinite(EAinvE)):
+        if not np.all(np.isfinite(Xinv)):
             raise UnstablePencil("sign iteration produced non-finite values")
-        # determinantal scaling, skipped close to convergence where it
+        # Frobenius-norm scaling, skipped close to convergence where it
         # would perturb the quadratic phase
-        if rel_err > 1e-2:
-            c = np.sqrt(spla.norm(A) / spla.norm(EAinvE))
-        else:
-            c = 1.0
+        c = np.sqrt(spla.norm(X) / spla.norm(Xinv)) if rel_err > 1e-2 else 1.0
         half_c, half_inv = 0.5 * c, 0.5 / c
 
-        B = np.hstack([B, E @ spla.lu_solve((lu, piv), B)])
-        Yc = spla.block_diag(half_inv * Yc, half_c * Yc)
-        Ct = np.hstack([Ct, E.T @ spla.lu_solve((lu, piv), Ct, trans=1)])
-        Yo = spla.block_diag(half_inv * Yo, half_c * Yo)
-        B, Yc = ldl_compress(B, Yc, tol=compress_tol)
-        Ct, Yo = ldl_compress(Ct, Yo, tol=compress_tol)
+        B, Yc = ldl_compress(np.hstack([B, Xinv @ B]),
+                             spla.block_diag(half_inv * Yc, half_c * Yc),
+                             tol=compress_tol)
+        Ct, Yo = ldl_compress(np.hstack([Ct, Xinv.T @ Ct]),
+                              spla.block_diag(half_inv * Yo, half_c * Yo),
+                              tol=compress_tol)
 
-        A = half_inv * A + half_c * EAinvE
+        X = half_inv * X + half_c * Xinv
         num_iter += 1
-        rel_err = spla.norm(A + E) / normE
-        if spla.norm(A) > 1e8 * norm_scale:
+        rel_err = spla.norm(X + ident) / np.sqrt(N)
+        if spla.norm(X) > 1e8 * norm_scale:
             raise UnstablePencil("sign iteration diverged; pencil is not c-stable")
     if rel_err > tol:
         raise NotConverged(
             f"sign iteration: rel error {rel_err:.3e} > {tol:.1e} after {num_iter} steps")
 
-    Z1 = spla.solve(E, B) / np.sqrt(2.0)
-    Z2 = spla.solve(E.T, Ct) / np.sqrt(2.0)
+    Z1 = B / np.sqrt(2.0)
+    Z2 = spla.lu_solve(lu_E, Ct, trans=1) / np.sqrt(2.0)
     info = {"num_iter": num_iter, "rel_err": rel_err}
     return GramianFactor(Z1, Yc), GramianFactor(Z2, Yo), info
 

@@ -187,6 +187,17 @@ def logm_principal(A, branch_tol=1e-12):
     return L
 
 
+def _pencil_matrix(real, variant):
+    """``calE^{-1} calA`` (``"left"``) or ``calA calE^{-1}`` (``"right"``)."""
+    try:
+        if variant == "left":
+            return spla.solve(real.calE, real.calA)
+        return spla.solve(real.calE.T, real.calA.T).T
+    except spla.LinAlgError as exc:
+        raise UnstableRealization(
+            "singular calE; the pencil has an infinite eigenvalue") from exc
+
+
 def _band_logarithm(real, band, variant):
     """``log(G)`` of the band product as the maps ``Y -> log(G) Y`` and
     ``Y -> Y log(G)``.
@@ -199,11 +210,7 @@ def _band_logarithm(real, band, variant):
     """
     if variant not in ("left", "right"):
         raise InvalidParams(f"unknown variant {variant!r}")
-    calE, calA = real.calE, real.calA
-    if variant == "left":
-        X = spla.solve(calE, calA)
-    else:
-        X = spla.solve(calE.T, calA.T).T
+    X = _pencil_matrix(real, variant)
     lam, V = spla.eig(X)
     if np.max(lam.real) >= 0.0:
         raise UnstableRealization("band-limited right-hand side needs a c-stable pencil")
@@ -324,8 +331,8 @@ def time_limited_rhs(real, window):
     ``exp(calA calE^{-1} t) = calE exp(calE^{-1} calA t) calE^{-1}``; the
     left endpoint ``t0 = 0`` short-circuits to the unpropagated maps.
     """
-    calE, calA, calB, calC = real.calE, real.calA, real.calB, real.calC
-    X = spla.solve(calE, calA)
+    calE, calB, calC = real.calE, real.calB, real.calC
+    X = _pencil_matrix(real, "left")
 
     def maps(t):
         if t == 0.0:

@@ -1,5 +1,7 @@
 """Gramian pairs of every flavor, partitioning and characteristic values."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as spla
@@ -159,6 +161,28 @@ def test_modified_validation():
     with pytest.raises(errors.InvalidParams):
         slt.modified_gramians(real, band=slt.FrequencyBand([(0.1, 1.0)]),
                               window=slt.TimeWindow(0.0, 1.0))
+
+
+@pytest.mark.parametrize("solve, error", [
+    (lambda real: slt.solve_lyap_sign_dual(real.calE, real.calA,
+                                           slt.IndefiniteRhs.definite(real.calB),
+                                           slt.IndefiniteRhs.definite(real.calC.T)),
+     errors.UnstablePencil),
+    (slt.infinite_gramians, errors.UnstablePencil),
+    (lambda real: slt.frequency_limited_gramians(real, slt.FrequencyBand([(0.0, 1.0)])),
+     errors.UnstableRealization),
+    (lambda real: slt.time_limited_gramians(real, slt.TimeWindow(0.0, 1.0)),
+     errors.UnstableRealization),
+])
+def test_singular_calE_raises_typed_error(solve, error):
+    # calE = diag(1, 0): an infinite pencil eigenvalue, caught before any step
+    real = slt.FirstOrderRealization(np.diag([1.0, 0.0]), -np.eye(2),
+                                     np.ones((2, 1)), np.ones((1, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="singular calE") as info:
+            solve(real)
+    assert info.value.category == "numerical"  # CLI exit code 3
 
 
 def test_partition_roundtrip():

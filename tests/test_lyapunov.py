@@ -122,11 +122,23 @@ def test_sign_imaginary_axis_pencil():
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
     G = np.eye(2)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(errors.UnstablePencil):
+        warnings.simplefilter("error")
+        with pytest.raises(errors.UnstablePencil, match="singular iterate"):
             slt.solve_lyap_sign_dual(np.eye(2), A,
                                      slt.IndefiniteRhs.definite(G),
                                      slt.IndefiniteRhs.definite(G))
+
+
+@pytest.mark.parametrize("build", [
+    slt.first_companion, slt.strictly_dissipative])
+def test_sign_chain_iteration_count(build):
+    # Frobenius-norm scaling of the standard-form iterate settles within
+    # 7 steps on every right-hand side
+    real = build(slt.generate_chain(100))
+    pairs = [slt.infinite_gramians(real),
+             slt.frequency_limited_gramians(real, slt.FrequencyBand.from_hz([(1.0, 100.0)])),
+             slt.time_limited_gramians(real, slt.TimeWindow(0.0, 20.0))]
+    assert max(pair.info["num_iter"] for pair in pairs) <= 7
 
 
 def test_sign_dimension_checks():

@@ -57,3 +57,31 @@ def test_band_rhs_eig_route_agrees_with_schur_fallback(real, band, variant):
     assert _rel(F, F_s) <= 1e-9
     assert _rel(rhs.B_lim, rhs_s.B_lim) <= 1e-9
     assert _rel(rhs.C_lim, rhs_s.C_lim) <= 1e-9
+
+
+@st.composite
+def factored_rhs(draw, N):
+    """``G S G^T`` with a definite, a swap (band) or a ``diag(I, -I)``
+    (window) signature."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 3))
+    ident, zero = np.eye(k), np.zeros((k, k))
+    S = draw(st.sampled_from([
+        np.eye(2 * k),
+        np.block([[zero, ident], [ident, zero]]),
+        np.block([[ident, zero], [zero, -ident]])]))
+    return slt.IndefiniteRhs(rng.standard_normal((N, 2 * k)), S)
+
+
+@DETERMINISTIC
+@given(data=st.data(), real=pencils())
+def test_sign_matches_oracle_on_general_pencils(data, real):
+    # calE is nonsymmetric and full, so both the calE^{-1} transform of the
+    # controllability factor and the final calE^{-T} solve are exercised
+    rhs_c = data.draw(factored_rhs(real.N))
+    rhs_o = data.draw(factored_rhs(real.N))
+    P, Q, _ = slt.solve_lyap_sign_dual(real.calE, real.calA, rhs_c, rhs_o)
+    P_ref = slt.solve_lyap_dense_oracle(real.calA, real.calE, rhs_c.dense())
+    Q_ref = slt.solve_lyap_dense_oracle(real.calA.T, real.calE.T, rhs_o.dense())
+    assert _rel(P.matrix(), P_ref) <= 1e-9
+    assert _rel(Q.matrix(), Q_ref) <= 1e-9
