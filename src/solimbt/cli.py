@@ -4,7 +4,7 @@ Four subcommands: ``generate`` (benchmark model bundles), ``reduce``
 (config-file driven reduction), ``analyze`` (frequency-domain error sweep)
 and ``simulate`` (time-domain response, optionally against a reference
 model).  Exit codes: 0 success, 2 configuration problem, 3 numerical
-failure.  ``SOLIMBT_THREADS`` caps the parallelism of frequency sweeps.
+failure.
 """
 
 import argparse

@@ -9,10 +9,8 @@ frequency grid or a simulated trajectory, with separate maxima over a band
 or window of interest.
 """
 
-import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -313,14 +311,14 @@ def _masked_max(values, mask):
     return float(np.max(vals)) if vals.size else None
 
 
-def frequency_error_report(orig, rom, wmin, wmax, points, band=None, threads=None):
+def frequency_error_report(orig, rom, wmin, wmax, points, band=None):
     """Spectral-norm transfer-function errors over a logarithmic grid.
 
     Each model is evaluated once over the whole grid, so per-model setup
-    (such as the sparse pattern of a large model) is paid once.
-    ``threads`` defaults to the ``SOLIMBT_THREADS`` environment variable;
-    above 1 the grid is split into that many contiguous chunks evaluated in
-    parallel, with bit-identical results.  Points where either model is
+    (such as the sparse pattern of a large model) is paid once, and a
+    :class:`~solimbt.system.SecondOrderSystem` reused as ``orig`` on the
+    same grid is looked up, not evaluated again (see
+    :func:`~solimbt.system.eval_transfer`).  Points where either model is
     singular are skipped and recorded.  ``rom_stable`` of a
     :class:`ReducedModel` is its ``stable`` flag; other models are checked.
     """
@@ -328,26 +326,13 @@ def frequency_error_report(orig, rom, wmin, wmax, points, band=None, threads=Non
     rom_model = rom
     rom = _unwrap(rom)
     omega = np.logspace(np.log10(wmin), np.log10(wmax), points)
-    if threads is None:
-        threads = int(os.environ.get("SOLIMBT_THREADS", "1"))
-
-    def norms(w):
-        Ho = eval_transfer(orig, 1j * w, skip_poles=True)
-        Hr = eval_transfer(rom, 1j * w, skip_poles=True)
-        ok = np.all(np.isfinite(Ho), axis=(1, 2)) & np.all(np.isfinite(Hr), axis=(1, 2))
-        orig_norm = np.full(w.shape, np.nan)
-        abs_err = np.full(w.shape, np.nan)
-        orig_norm[ok] = np.linalg.norm(Ho[ok], 2, axis=(1, 2))
-        abs_err[ok] = np.linalg.norm(Ho[ok] - Hr[ok], 2, axis=(1, 2))
-        return orig_norm, abs_err
-
-    workers = min(threads, omega.size)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(norms, np.array_split(omega, workers)))
-        orig_norm, abs_err = (np.concatenate(x) for x in zip(*parts))
-    else:
-        orig_norm, abs_err = norms(omega)
+    Ho = eval_transfer(orig, 1j * omega, skip_poles=True)
+    Hr = eval_transfer(rom, 1j * omega, skip_poles=True)
+    ok = np.all(np.isfinite(Ho), axis=(1, 2)) & np.all(np.isfinite(Hr), axis=(1, 2))
+    orig_norm = np.full(omega.shape, np.nan)
+    abs_err = np.full(omega.shape, np.nan)
+    orig_norm[ok] = np.linalg.norm(Ho[ok], 2, axis=(1, 2))
+    abs_err[ok] = np.linalg.norm(Ho[ok] - Hr[ok], 2, axis=(1, 2))
 
     valid = np.isfinite(orig_norm)
     skipped = np.flatnonzero(~valid).tolist()
@@ -398,7 +383,10 @@ def time_error_report(orig, rom, signal, t, window=None):
     """Output-space errors between simulated trajectories on a shared grid.
 
     Both models are integrated with the same scheme and step, so the
-    comparison (:func:`trajectory_errors`) isolates the reduction error.
+    comparison (:func:`trajectory_errors`) isolates the reduction error.  A
+    :class:`~solimbt.system.SecondOrderSystem` reused as ``orig`` with the
+    same signal and grid is looked up, not simulated again (see
+    :func:`~solimbt.system.simulate`).
     Divergence of either model propagates as
     :class:`~solimbt.errors.NonFiniteState`.  ``rom_stable`` is set as in
     :func:`frequency_error_report`.

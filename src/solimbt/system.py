@@ -49,7 +49,7 @@ def _as_matrix(A, name, dtype=float, sparse=False):
         A.sum_duplicates()  # in place, hence the copy
         values = A.data
     else:
-        A = values = np.atleast_2d(np.asarray(A, dtype=dtype))
+        A = values = np.array(A, dtype=dtype, ndmin=2)  # a copy
     if A.ndim != 2:
         raise DimensionMismatch(f"{name} must be a matrix, got ndim={A.ndim}")
     if not np.all(np.isfinite(values)):
@@ -57,12 +57,22 @@ def _as_matrix(A, name, dtype=float, sparse=False):
     return A
 
 
+def _frozen(A):
+    """``A`` with its buffers (``data``, ``indices`` and ``indptr`` when
+    sparse) marked read-only."""
+    for buf in (A.data, A.indices, A.indptr) if scipy.sparse.issparse(A) else (A,):
+        buf.flags.writeable = False
+    return A
+
+
 def _dense(sys):
     """``sys`` with dense, C-ordered ``M, E, K`` (the layout of every dense
-    system, so results match bit for bit); ``sys`` itself when already dense."""
+    system, so results match bit for bit); ``sys`` itself when already dense.
+    The copy starts with an empty memo."""
     if not scipy.sparse.issparse(sys.M):
         return sys
-    return replace(sys, **{k: getattr(sys, k).toarray(order="C") for k in "MEK"})
+    return replace(sys, **{k: _frozen(getattr(sys, k).toarray(order="C"))
+                           for k in "MEK"})
 
 
 def _getrf(A):
@@ -110,8 +120,15 @@ class SecondOrderSystem:
 
     ``M``, ``E`` and ``K`` are either all dense arrays or all
     ``scipy.sparse.csc_array`` (loaded bundles and chains are sparse);
-    ``B_u``, ``C_p`` and ``C_v`` are always dense.  Treat instances as immutable; all
-    consumers rely on the matrices not changing after construction.
+    ``B_u``, ``C_p`` and ``C_v`` are always dense.
+
+    Treat instances as immutable: :func:`make_second_order` and
+    :func:`generate_chain` store read-only copies of the matrices.  Each
+    instance memoizes its latest transfer-function sweep
+    (:func:`eval_transfer`), its latest simulation without states
+    (:func:`simulate`) and its :func:`check_stability` report, so comparing
+    several reduced models against one original computes the original's
+    responses once.  ``dataclasses.replace`` starts a fresh memo.
     """
 
     M: np.ndarray | scipy.sparse.csc_array
@@ -120,6 +137,7 @@ class SecondOrderSystem:
     B_u: np.ndarray
     C_p: np.ndarray
     C_v: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self):
@@ -192,8 +210,9 @@ def make_second_order(M, E, K, B_u, C_p, C_v):
     """Validate and assemble a :class:`SecondOrderSystem`.
 
     ``M``, ``E`` and ``K`` may be dense or sparse; if any of them is sparse,
-    all three are stored as ``scipy.sparse.csc_array``.  Finiteness is
-    checked on the stored entries.
+    all three are stored as ``scipy.sparse.csc_array``.  Every matrix is
+    stored as a read-only copy; the caller's arrays stay as they are.
+    Finiteness is checked on the stored entries.
 
     Raises
     ------
@@ -227,7 +246,7 @@ def make_second_order(M, E, K, B_u, C_p, C_v):
     rcond = _rcond(M)
     if rcond < 1e-14:
         raise SingularMass(f"reciprocal condition number {rcond:.3e} of M below 1e-14")
-    return SecondOrderSystem(M, E, K, B_u, C_p, C_v)
+    return SecondOrderSystem(*map(_frozen, (M, E, K, B_u, C_p, C_v)))
 
 
 def first_companion(sys, j="identity"):
@@ -451,8 +470,40 @@ def _output_map(obj, s):
     return obj.calC if isinstance(obj, FirstOrderRealization) else obj.C_p + s * obj.C_v
 
 
+def _memoized(obj, name, key, compute):
+    """``compute()``, kept in the memo of a :class:`SecondOrderSystem` under
+    ``name`` for the latest ``key`` only, which bounds the memo at one entry
+    per function.  Other objects compute every time.  An exception is never
+    stored, so a repeated failing call raises again.  Callers return copies
+    of what is stored."""
+    if not isinstance(obj, SecondOrderSystem):
+        return compute()
+    hit = obj._memo.get(name)
+    if hit is not None and hit[0] == key:
+        return hit[1]
+    value = compute()
+    obj._memo[name] = (key, value)
+    return value
+
+
+def _transfer(obj, pts):
+    """``H`` at every point of ``pts``, a NaN block where a solve fails."""
+    out = np.full((pts.size, obj.p, obj.m), np.nan, dtype=complex)
+    # exactly singular points produce inf/nan instead of LinAlgError on some
+    # LAPACK paths; silence the numpy noise and catch them afterwards
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for i, (sk, X) in enumerate(zip(pts, _shifted_solves(obj, pts))):
+            if X is not None:
+                out[i] = _output_map(obj, sk) @ X
+    return out
+
+
 def eval_transfer(obj, s, skip_poles=False):
     """Evaluate the transfer function at one or several complex points.
+
+    A :class:`SecondOrderSystem` remembers its latest set of points: asked
+    again for exactly the same points, it returns a copy of the stored
+    values without solving.
 
     Parameters
     ----------
@@ -476,13 +527,8 @@ def eval_transfer(obj, s, skip_poles=False):
     """
     pts = np.atleast_1d(np.asarray(s, dtype=complex))
     scalar = np.ndim(s) == 0
-    out = np.full((pts.size, obj.p, obj.m), np.nan, dtype=complex)
-    # exactly singular points produce inf/nan instead of LinAlgError on some
-    # LAPACK paths; silence the numpy noise and catch them afterwards
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for i, (sk, X) in enumerate(zip(pts, _shifted_solves(obj, pts))):
-            if X is not None:
-                out[i] = _output_map(obj, sk) @ X
+    out = _memoized(obj, "eval_transfer", pts.tobytes(),
+                    lambda: _transfer(obj, pts)).copy()
     bad = ~np.all(np.isfinite(out), axis=(1, 2))
     if np.any(bad):
         if not skip_poles:
@@ -509,7 +555,7 @@ def generate_chain(n, masses=100.0, ground_stiffness=None, coupling_stiffness=2.
 
     Returns a :class:`SecondOrderSystem` with ``M``, ``E`` and ``K`` as
     ``scipy.sparse.csc_array`` (diagonal and tridiagonal) and dense ``B_u``,
-    ``C_p``, ``C_v``.
+    ``C_p``, ``C_v``, all read-only.
 
     Raises
     ------
@@ -559,7 +605,7 @@ def generate_chain(n, masses=100.0, ground_stiffness=None, coupling_stiffness=2.
     C_p[1, 1] = 1.0
     C_p[2, n - 2] = 1.0
     C_v = np.zeros((3, n))
-    return SecondOrderSystem(M, E, K, B_u, C_p, C_v)
+    return SecondOrderSystem(*map(_frozen, (M, E, K, B_u, C_p, C_v)))
 
 
 @dataclass
@@ -624,6 +670,11 @@ def simulate(obj, signal, t, return_states=False):
     use LAPACK ``getrf``/``getrs``.  A :class:`FirstOrderRealization` is
     stepped on its pencil with ``calE - h/2 calA``.
 
+    A :class:`SecondOrderSystem` remembers its latest outputs: asked again
+    for the same grid and input samples, it returns a copy of the stored
+    outputs without stepping.  A run with ``return_states`` is neither
+    stored nor looked up, since its states would dominate the memory.
+
     Parameters
     ----------
     obj
@@ -650,7 +701,18 @@ def simulate(obj, signal, t, return_states=False):
     h = t[1] - t[0]
     if h <= 0 or np.max(np.abs(np.diff(t) - h)) > 1e-10 * max(h, 1.0):
         raise InvalidParams("time grid must be uniformly spaced and increasing")
+    U = np.asarray(signal.sample(t, obj.m), dtype=float)
+    if return_states:
+        return _trapezoid(obj, t, U, return_states=True)
+    Y = _memoized(obj, "simulate", (t.tobytes(), U.tobytes()),
+                  lambda: _trapezoid(obj, t, U).outputs)
+    return Trajectory(times=t, outputs=Y.copy())
 
+
+def _trapezoid(obj, t, U, return_states=False):
+    """The trapezoidal run of :func:`simulate` on a checked grid ``t`` with
+    input samples ``U``."""
+    h = t[1] - t[0]
     hh = 0.5 * h
     second_order = isinstance(obj, SecondOrderSystem)
     if second_order:
@@ -681,7 +743,6 @@ def simulate(obj, signal, t, return_states=False):
         raise NonFiniteState(f"trapezoidal step matrix is singular: s={2.0 / h:.6g} "
                              "is a pole")
 
-    U = signal.sample(t, hB.shape[1])
     Usum = U[:-1] + U[1:]
     q = np.zeros(rhs_mat.shape[1])
     Y = np.empty((t.size, C.shape[0]))
@@ -712,7 +773,8 @@ def simulate(obj, signal, t, return_states=False):
 def check_stability(obj, guard=5000):
     """Dense eigenvalue-based stability check of the realization pencil.
 
-    Second-order systems are checked through their companion form.  A report
+    Second-order systems are checked through their companion form, once
+    per system: a repeated call returns a copy of the stored report.  A report
     lists the pencil eigenvalues, the largest real part, strict c-stability,
     and the numerically marginal eigenvalues
     (``|Re| <= 1e-12 * max |lambda|``).
@@ -722,9 +784,17 @@ def check_stability(obj, guard=5000):
     DimensionTooLarge
         If the realization dimension exceeds ``guard``.
     """
-    real = first_companion(obj) if isinstance(obj, SecondOrderSystem) else obj
-    if real.N > guard:
-        raise DimensionTooLarge(f"dense eigensolve guard: N={real.N} > {guard}")
+    second_order = isinstance(obj, SecondOrderSystem)
+    N = 2 * obj.n if second_order else obj.N
+    if N > guard:
+        raise DimensionTooLarge(f"dense eigensolve guard: N={N} > {guard}")
+    rep = _memoized(obj, "check_stability", None, lambda: _stability(
+        first_companion(obj) if second_order else obj))
+    return replace(rep, eigenvalues=rep.eigenvalues.copy(),
+                   marginal=rep.marginal.copy())
+
+
+def _stability(real):
     lam = real.pencil_eigenvalues()
     finite = lam[np.isfinite(lam)]
     if finite.size < lam.size or finite.size == 0:

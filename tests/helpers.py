@@ -54,3 +54,17 @@ def obs_residual(calA, calE, X, rhs):
 
 def min_eig(X):
     return float(spla.eigvalsh(0.5 * (X + X.T))[0])
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` for the test; returns the list that collects the
+    first argument of every call."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls

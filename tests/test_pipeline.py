@@ -12,7 +12,7 @@ import solimbt as slt
 from solimbt import errors
 from solimbt.system import _dense
 
-from helpers import random_second_order
+from helpers import count_calls, random_second_order
 
 
 def test_alpha_shift_roundtrip():
@@ -294,19 +294,46 @@ def test_frequency_report_zero_reference():
     assert np.isnan(rep.rel_err).all()
 
 
-def test_frequency_report_threads(monkeypatch):
+def test_frequency_report_matches_pointwise():
     sys = slt.generate_chain(5)
     rom = slt.reduce(sys, slt.ReductionConfig(method="bt", fixed_order=2))
-    serial = slt.frequency_error_report(sys, rom, 0.01, 1.0, 30)
-    monkeypatch.setenv("SOLIMBT_THREADS", "4")
-    threaded = slt.frequency_error_report(sys, rom, 0.01, 1.0, 30)
-    assert np.array_equal(serial.abs_err, threaded.abs_err)
-    assert serial.global_max_abs == threaded.global_max_abs
+    rep = slt.frequency_error_report(sys, rom, 0.01, 1.0, 30)
     # the batched sweep does the arithmetic of a point-by-point loop
     ref = [np.linalg.norm(slt.eval_transfer(sys, 1j * w)
                           - slt.eval_transfer(rom.system, 1j * w), 2)
-           for w in serial.grid]
-    assert np.array_equal(serial.abs_err, ref)
+           for w in rep.grid]
+    assert np.array_equal(rep.abs_err, ref)
+
+
+def _same_report(a, b):
+    return all(np.array_equal(getattr(a, k), getattr(b, k), equal_nan=True)
+               for k in ("grid", "orig_norm", "abs_err", "rel_err")) and all(
+        getattr(a, k) == getattr(b, k) for k in
+        ("global_max_abs", "global_max_rel", "local_max_abs", "local_max_rel",
+         "rom_stable", "skipped"))
+
+
+def test_reports_compute_the_original_once(monkeypatch):
+    # the sparse original is swept and stepped by the first pair of reports
+    # only; the dense ROM of the second pair needs no SuperLU at all
+    from solimbt import system
+    sys = slt.generate_chain(30)
+    t = np.linspace(0.0, 20.0, 201)
+    win = slt.TimeWindow(0.0, 10.0)
+    a, b = (slt.reduce(sys, slt.ReductionConfig(method="bt", fixed_order=r)).system
+            for r in (2, 4))
+
+    def reports(orig, rom):
+        return (slt.frequency_error_report(orig, rom, 1e-2, 1.0, 40),
+                slt.time_error_report(orig, rom, slt.StepSignal(), t, window=win))
+
+    reports(sys, a)
+    solves = count_calls(monkeypatch, system, "_shifted_solves")
+    lus = count_calls(monkeypatch, scipy.sparse.linalg, "splu")
+    second = reports(sys, b)
+    assert len(solves) == 1 and solves[0] is b and lus == []
+    fresh = reports(slt.generate_chain(30), b)
+    assert all(_same_report(x, y) for x, y in zip(second, fresh))
 
 
 def test_time_report():

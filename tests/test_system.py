@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from numpy.testing import assert_allclose
 
 import solimbt as slt
 from solimbt import errors
-from solimbt.system import _shifted_solves, dissipative_backtransform_matrix
+from solimbt import system
+from solimbt.system import _dense, _shifted_solves, dissipative_backtransform_matrix
 
-from helpers import random_second_order, random_spd
+from helpers import count_calls, random_second_order, random_spd
 
 
 def test_chain_matrices_frozen():
@@ -82,6 +84,27 @@ def test_make_second_order_shape_errors():
         slt.make_second_order(ident, ident, ident, B, C, np.ones((1, 3)))
     with pytest.raises(errors.InvalidParams):
         slt.make_second_order(ident * np.nan, ident, ident, B, C, C)
+
+
+def test_system_matrices_are_read_only_copies():
+    rng = np.random.default_rng(3)
+    M, E, K = (random_spd(rng, 3) for _ in range(3))
+    B, C = np.ones((3, 1)), np.ones((2, 3))
+    Ms = scipy.sparse.csc_array(M)
+    dense = slt.make_second_order(M, E, K, B, C, C)
+    sparse = slt.make_second_order(Ms, E, K, B, C, C)
+    for sys in (dense, sparse, _dense(sparse), slt.generate_chain(4)):
+        bufs = [sys.B_u, sys.C_p, sys.C_v]
+        for A in (sys.M, sys.E, sys.K):
+            bufs += (A.data, A.indices, A.indptr) if scipy.sparse.issparse(A) else [A]
+        for buf in bufs:
+            with pytest.raises(ValueError, match="read-only"):
+                buf.flat[0] = 7
+    # the caller's arrays stay writable, and writing to them changes no system
+    M0 = M.copy()
+    M[0, 0] = B[0, 0] = Ms.data[0] = 7.0
+    assert np.array_equal(dense.M, M0) and np.array_equal(sparse.M.toarray(), M0)
+    assert dense.B_u[0, 0] == sparse.B_u[0, 0] == 1.0
 
 
 def test_singular_mass_rejected():
@@ -261,6 +284,41 @@ def test_eval_transfer_at_pole_sparse():
     assert np.isnan(H[1]).all()
 
 
+def test_transfer_memo_keeps_the_latest_grid(monkeypatch):
+    solves = count_calls(monkeypatch, system, "_shifted_solves")
+    sys = slt.generate_chain(6)
+    a, b = 1j * np.logspace(-2, 0, 7), 1j * np.logspace(-1, 1, 5)
+    slt.eval_transfer(sys, a)[:] = 0.0  # the caller's copy, not the memo
+    again = slt.eval_transfer(sys, a)
+    assert len(solves) == 1
+    assert np.array_equal(again, slt.eval_transfer(slt.generate_chain(6), a))
+    assert _dense(sys)._memo == {} and replace(sys)._memo == {}
+    slt.eval_transfer(sys, b)
+    slt.eval_transfer(sys, a)
+    assert sum(obj is sys for obj in solves) == 3  # a, b, a
+
+
+def test_memo_stores_no_exception(monkeypatch):
+    # a pole raises on every call, the skipped form is served from the memo;
+    # a divergent simulation is stepped and raises again
+    solves = count_calls(monkeypatch, system, "_shifted_solves")
+    undamped = slt.make_second_order([[1.0]], [[0.0]], [[1.0]], [[1.0]],
+                                     [[1.0]], [[0.0]])
+    pts = np.array([0.5j, 1j])
+    for _ in range(2):
+        with pytest.raises(errors.SingularAtFrequency):
+            slt.eval_transfer(undamped, pts)
+    assert np.isnan(slt.eval_transfer(undamped, pts, skip_poles=True)[1]).all()
+    assert len(solves) == 1
+    runaway = slt.make_second_order([[1.0]], [[0.0]], [[-0.01]], [[1.0]],
+                                    [[1.0]], [[0.0]])
+    steps = count_calls(monkeypatch, system, "_trapezoid")
+    for _ in range(2):
+        with pytest.raises(errors.NonFiniteState):
+            slt.simulate(runaway, slt.StepSignal(), np.arange(0.0, 8000.0, 0.5))
+    assert len(steps) == 2
+
+
 def test_shifted_solves_first_order_dual():
     # companion form with J = I: (s calE - calA)^{-1} calB = [x; s x] for
     # x = (s^2 M + s E + K)^{-1} B_u, and D solves the conjugate transpose
@@ -389,6 +447,25 @@ def test_simulate_deterministic_and_states():
     assert slt.simulate(sys, slt.StepSignal(), t).states is None
 
 
+def test_simulate_memo(monkeypatch):
+    lus = count_calls(monkeypatch, scipy.sparse.linalg, "splu")
+    sys = slt.generate_chain(6)
+    t = np.linspace(0.0, 10.0, 101)
+    step = slt.StepSignal()
+    slt.simulate(sys, step, t).outputs[:] = 0.0  # the caller's copy
+    again = slt.simulate(sys, step, t)
+    assert len(lus) == 1
+    assert np.array_equal(again.outputs,
+                          slt.simulate(slt.generate_chain(6), step, t).outputs)
+    # states are neither stored nor looked up; another signal replaces the entry
+    assert slt.simulate(sys, step, t, return_states=True).states is not None
+    slt.simulate(sys, step, t)
+    assert len(lus) == 3
+    slt.simulate(sys, slt.StepSignal(onset=1.0), t)
+    slt.simulate(sys, step, t)
+    assert len(lus) == 5
+
+
 def test_large_sparse_chain_responses_stay_sparse():
     # n = 20,000: one dense copy of M would take 3.2 GB, so a response that
     # densified the model anywhere would blow the 64 MB budget
@@ -433,12 +510,16 @@ def test_simulate_divergence():
         slt.simulate(real, slt.StepSignal(), np.arange(0.0, 300.0, 0.9))
 
 
-def test_check_stability():
+def test_check_stability(monkeypatch):
+    eigensolves = count_calls(monkeypatch, slt.FirstOrderRealization,
+                              "pencil_eigenvalues")
     sys = slt.generate_chain(6)
+    slt.check_stability(sys).eigenvalues[:] = 0.0  # the caller's copy
     rep = slt.check_stability(sys)
+    assert len(eigensolves) == 1  # one eigensolve per system
     assert rep.is_c_stable
     assert rep.max_real_part < 0
-    assert rep.eigenvalues.size == 12
+    assert rep.eigenvalues.size == 12 and np.all(rep.eigenvalues.real < 0)
     assert rep.marginal.size == 0
     assert rep.is_c_stable == (rep.max_real_part < 0)
 
@@ -448,7 +529,7 @@ def test_check_stability():
     assert rep.marginal.size == 2
     assert rep.is_c_stable == (rep.max_real_part < 0)
 
-    with pytest.raises(errors.DimensionTooLarge):
+    with pytest.raises(errors.DimensionTooLarge):  # checked before the memo
         slt.check_stability(sys, guard=10)
 
 
