@@ -38,7 +38,6 @@ from .lyapunov import (
 from .matfun import (
     FrequencyBand,
     TimeWindow,
-    band_selector,
     expm,
     freq_limited_rhs,
     logm_principal,

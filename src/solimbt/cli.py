@@ -64,7 +64,7 @@ def cmd_generate(args):
 _CONFIG_KEYS = {
     "input", "output", "name", "method", "formula", "band", "window",
     "order", "alpha", "realization", "j", "gamma", "solver",
-    "solver_options", "modified", "variant", "hybrid",
+    "solver_options", "modified", "hybrid",
 }
 
 
@@ -125,7 +125,6 @@ def _load_job(path):
         solver=job.get("solver", "sign"),
         solver_options=job.get("solver_options", {}),
         modified=bool(job.get("modified", False)),
-        variant=job.get("variant", "left"),
         hybrid=hybrid)
     config.validate()
     return job, config

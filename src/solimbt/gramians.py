@@ -89,10 +89,10 @@ def infinite_gramians(real, solver="sign", solver_options=None):
                        solver=solver, solver_options=solver_options)
 
 
-def _limited_rhs(real, band, window, variant="left"):
+def _limited_rhs(real, band, window):
     """Factored right-hand sides ``(rhs_c, rhs_o)`` of a band or a window."""
     if band is not None:
-        rhs = matfun.freq_limited_rhs(real, band, variant=variant)
+        rhs = matfun.freq_limited_rhs(real, band)
         Gc, Go = (rhs.B_lim, real.calB), (rhs.C_lim.T, real.calC.T)
     else:
         rhs = matfun.time_limited_rhs(real, window)
@@ -108,15 +108,14 @@ def _limited_rhs(real, band, window, variant="left"):
             IndefiniteRhs(np.hstack(Go), signature(real.p)))
 
 
-def frequency_limited_gramians(real, band, variant="left", solver="sign",
-                               solver_options=None):
+def frequency_limited_gramians(real, band, solver="sign", solver_options=None):
     """Band-limited Gramian pair.
 
     The right-hand sides couple the band-limited maps with the plain ones:
     ``[B_lim, calB]`` against the swap signature ``[[0, I], [I, 0]]`` (and the
     transposed analogue for the outputs).
     """
-    return _solve_pair(real, lambda r: _limited_rhs(r, band, None, variant),
+    return _solve_pair(real, lambda r: _limited_rhs(r, band, None),
                        "band", band=band,
                        solver=solver, solver_options=solver_options)
 
@@ -149,8 +148,7 @@ def definite_surrogate(rhs, cutoff=1e-12):
     return (Q @ V[:, keep]) * np.sqrt(np.abs(eta[keep]))
 
 
-def modified_gramians(real, band=None, window=None, variant="left",
-                      solver_options=None):
+def modified_gramians(real, band=None, window=None, solver_options=None):
     """Definite-right-hand-side surrogates of the limited Gramians.
 
     The modified pair dominates the corresponding limited pair in the
@@ -162,7 +160,7 @@ def modified_gramians(real, band=None, window=None, variant="left",
     flavor = "band_modified" if band is not None else "window_modified"
     return _solve_pair(
         real, lambda r: tuple(IndefiniteRhs.definite(definite_surrogate(x))
-                              for x in _limited_rhs(r, band, window, variant)),
+                              for x in _limited_rhs(r, band, window)),
         flavor, band=band, window=window,
         solver="sign", solver_options=solver_options)
 

@@ -187,30 +187,26 @@ def logm_principal(A, branch_tol=1e-12):
     return L
 
 
-def _pencil_matrix(real, variant):
-    """``calE^{-1} calA`` (``"left"``) or ``calA calE^{-1}`` (``"right"``)."""
+def _pencil_matrix(real):
+    """``calE^{-1} calA``."""
     try:
-        if variant == "left":
-            return spla.solve(real.calE, real.calA)
-        return spla.solve(real.calE.T, real.calA.T).T
+        return spla.solve(real.calE, real.calA)
     except spla.LinAlgError as exc:
         raise UnstableRealization(
             "singular calE; the pencil has an infinite eigenvalue") from exc
 
 
-def _band_logarithm(real, band, variant):
+def _band_logarithm(real, band):
     """``log(G)`` of the band product as the maps ``Y -> log(G) Y`` and
     ``Y -> Y log(G)``.
 
-    ``G`` is a rational function ``g`` of ``X = calE^{-1} calA`` (``"left"``)
-    or ``X = calA calE^{-1}`` (``"right"``).  The eigenvalues of ``X`` give
-    the stability and branch-cut checks, and, unless ``V`` is too
-    ill-conditioned, ``log(G) = V diag(log g(lambda)) V^{-1}``.  The
-    fallback keeps ``G`` upper triangular on the complex Schur form of ``X``.
+    ``G`` is a rational function ``g`` of ``X = calE^{-1} calA``.  The
+    eigenvalues of ``X`` give the stability and branch-cut checks, and,
+    unless ``V`` is too ill-conditioned,
+    ``log(G) = V diag(log g(lambda)) V^{-1}``.  The fallback keeps ``G``
+    upper triangular on the complex Schur form of ``X``.
     """
-    if variant not in ("left", "right"):
-        raise InvalidParams(f"unknown variant {variant!r}")
-    X = _pencil_matrix(real, variant)
+    X = _pencil_matrix(real)
     lam, V = spla.eig(X)
     if np.max(lam.real) >= 0.0:
         raise UnstableRealization("band-limited right-hand side needs a c-stable pencil")
@@ -239,29 +235,6 @@ def _band_logarithm(real, band, variant):
             lambda Y: ((Y @ Z) @ LT) @ Z.conj().T)
 
 
-def band_selector(real, band, variant="left"):
-    """The matrix ``F_Omega`` that localizes the Gramian integrals to a band.
-
-    For a single interval starting at zero the symmetric-band simplification
-    ``F = Re((i/pi) log(-calE^{-1} calA - i w I)) calE^{-1}`` is used; the
-    general case takes one logarithm of the interval product.  The
-    ``"left"`` and ``"right"`` variants apply ``calE^{-1}`` on different
-    sides and agree mathematically.
-
-    The logarithm comes from one eigendecomposition of ``calE^{-1} calA``
-    (``"right"``: ``calA calE^{-1}``).  The complex Schur form and
-    ``logm_principal`` are the fallback when the eigenvector matrix ``V``
-    has an estimated reciprocal condition number below
-    ``EIG_RCOND_MIN = 1e-4``, from where the ``cond(V) * eps`` error of the
-    eigendecomposition route would near the 1e-10 the results are held to.
-    """
-    log_times, _ = _band_logarithm(real, band, variant)
-    R = np.real((1j / np.pi) * log_times(np.eye(real.N)))
-    if variant == "left":
-        return spla.solve(real.calE.T, R.T).T
-    return spla.solve(real.calE, R)
-
-
 @dataclass
 class BandLimitedRhs:
     """Band-limited input/output maps entering the Lyapunov right-hand sides.
@@ -275,37 +248,32 @@ class BandLimitedRhs:
     band: FrequencyBand
 
 
-def freq_limited_rhs(real, band, variant="left"):
-    """Band-limited maps ``B_lim = calE F_Omega calB`` and
-    ``C_lim = calC F_Omega calE``.
+def freq_limited_rhs(real, band):
+    """Band-limited maps ``B_lim = calE F_Omega calB = calE R calE^{-1} calB``
+    and ``C_lim = calC F_Omega calE = calC R``, where ``F_Omega = R calE^{-1}``
+    and ``R = Re((i/pi) log(G))``.
 
-    ``F_Omega`` is ``R calE^{-1}`` (``"left"``) or ``calE^{-1} R``
-    (``"right"``) with ``R = Re((i/pi) log(G))``.  ``log(G)`` comes from one
-    eigendecomposition ``V diag(log g(lambda)) V^{-1}`` of ``calE^{-1} calA``
-    (``"right"``: ``calA calE^{-1}``), or, when the estimated reciprocal
-    condition number of ``V`` is below ``EIG_RCOND_MIN = 1e-4`` (where the
-    ``cond(V) * eps`` error of that route would near the 1e-10 the results
-    are held to), from the complex Schur form and ``logm_principal``.
-    ``log(G)``, ``V^{-1}``, ``calE`` and ``calE^{-1}`` are applied to thin
-    blocks only; no N x N product is formed.
+    A single interval starting at zero takes the symmetric-band
+    simplification ``R = Re((i/pi) log(-calE^{-1} calA - i w I))``; the
+    general case takes one logarithm of the interval product.  ``log(G)``
+    comes from one eigendecomposition of ``calE^{-1} calA``, or from the
+    complex Schur form and ``logm_principal`` when the eigenvectors are too
+    ill-conditioned (``EIG_RCOND_MIN``, see the module docstring).  All
+    factors are applied to thin blocks; no N x N product is formed.
 
     Raises
     ------
     UnstableRealization
-        If the pencil is not c-stable.
+        If the pencil is not c-stable or ``calE`` is singular.
     BranchCutViolation
         If an eigenvalue of the band product lies on the closed negative
         real axis (the tolerance of ``logm_principal``).
     """
-    log_times, times_log = _band_logarithm(real, band, variant)
-    calE, left = real.calE, variant == "left"
-    Bv = spla.solve(calE, real.calB) if left else real.calB
-    Cv = real.calC if left else spla.solve(calE.T, real.calC.T).T
+    log_times, times_log = _band_logarithm(real, band)
     # R is real, so R Y = Re((i/pi) log(G) Y) for a real block Y
-    RB = np.real((1j / np.pi) * log_times(Bv))
-    CR = np.real((1j / np.pi) * times_log(Cv))
-    return BandLimitedRhs(B_lim=calE @ RB if left else RB,
-                          C_lim=CR if left else CR @ calE, band=band)
+    RB = np.real((1j / np.pi) * log_times(spla.solve(real.calE, real.calB)))
+    CR = np.real((1j / np.pi) * times_log(real.calC))
+    return BandLimitedRhs(B_lim=real.calE @ RB, C_lim=CR, band=band)
 
 
 @dataclass
@@ -332,7 +300,7 @@ def time_limited_rhs(real, window):
     left endpoint ``t0 = 0`` short-circuits to the unpropagated maps.
     """
     calE, calB, calC = real.calE, real.calB, real.calC
-    X = _pencil_matrix(real, "left")
+    X = _pencil_matrix(real)
 
     def maps(t):
         if t == 0.0:

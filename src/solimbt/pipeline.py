@@ -98,10 +98,7 @@ def hybrid_prereduce(sys, omegas, tol=1e-12):
         for blk in XD:
             cols.append(blk.real)
             cols.append(blk.imag)
-    stack = np.hstack(cols)
-    U, sv, _ = spla.svd(stack, full_matrices=False)
-    keep = sv > tol * sv[0]
-    V = U[:, keep]
+    V = spla.orth(np.hstack(cols), rcond=tol)
     pre = make_second_order(
         V.T @ (sys.M @ V), V.T @ (sys.E @ V), V.T @ (sys.K @ V),
         V.T @ sys.B_u, sys.C_p @ V, sys.C_v @ V)
@@ -136,7 +133,6 @@ class ReductionConfig:
     solver: str = "sign"
     solver_options: dict = field(default_factory=dict)
     modified: bool = False
-    variant: str = "left"
     hybrid: tuple | None = None
 
     def validate(self):
@@ -216,13 +212,13 @@ def reduce(sys, config):
         pair = gramians.modified_gramians(
             real, band=config.band if config.method == "flbt" else None,
             window=config.window if config.method == "tlbt" else None,
-            variant=config.variant, solver_options=config.solver_options)
+            solver_options=config.solver_options)
     elif config.method == "bt":
         pair = gramians.infinite_gramians(real, solver=config.solver,
                                           solver_options=config.solver_options)
     elif config.method == "flbt":
         pair = gramians.frequency_limited_gramians(
-            real, config.band, variant=config.variant, solver=config.solver,
+            real, config.band, solver=config.solver,
             solver_options=config.solver_options)
     else:
         pair = gramians.time_limited_gramians(

@@ -149,8 +149,10 @@ def test_reduce_config_errors(tmp_path, capsys):
     assert code == 2 and "band" in err
     code, err = run({**base, "method": "tlbt"})
     assert code == 2 and "window" in err
-    code, err = run({**base, "method": "bt", "typo_key": 1})
-    assert code == 2 and "typo_key" in err
+    # a job file that still sets the removed "variant" must fail, not be ignored
+    for key, value in (("typo_key", 1), ("variant", "left")):
+        code, err = run({**base, "method": "bt", key: value})
+        assert code == 2 and key in err
     code, err = run({**base, "method": "bt",
                      "band": {"intervals": [[1, 2]]}})
     assert code == 2  # band only makes sense for flbt
@@ -189,6 +191,29 @@ def test_reduce_numerical_failure_exit_code(tmp_path, capsys):
     (tmp_path / "job.json").write_text(json.dumps(job))
     assert main(["reduce", "--config", str(tmp_path / "job.json")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+ERROR_TYPES = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.SolimbtError)]
+LEAF_ERRORS = [c for c in ERROR_TYPES
+               if not any(c in d.__bases__ for d in ERROR_TYPES)]
+
+
+@pytest.mark.parametrize("exc", LEAF_ERRORS, ids=lambda c: c.__name__)
+def test_reduce_exit_code_per_error_type(tmp_path, monkeypatch, capsys, exc):
+    # every concrete error maps to exit 2 (config) or 3 (numerical)
+    model = str(tmp_path / "model")
+    main(["generate", "--n", "4", "--out", model])
+    cfg = _write_job(tmp_path / "job.json", input=model,
+                     output=str(tmp_path / "rom"))
+
+    def fail(*args, **kwargs):
+        raise exc("injected failure")
+
+    monkeypatch.setattr(pipeline, "reduce", fail)
+    assert main(["reduce", "--config", str(cfg)]) == \
+        (2 if exc.category == "config" else 3)
+    assert "injected failure" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- analyze

@@ -82,16 +82,6 @@ def test_band_pair_matches_oracle():
     assert pair.band is band
 
 
-def test_band_pair_variant_right():
-    rng = np.random.default_rng(11)
-    real = stable_generic(rng, 8)
-    band = slt.FrequencyBand([(0.5, 1.5)])
-    left = slt.frequency_limited_gramians(real, band, variant="left")
-    right = slt.frequency_limited_gramians(real, band, variant="right")
-    assert_allclose(left.controllability.matrix(),
-                    right.controllability.matrix(), rtol=1e-8, atol=1e-10)
-
-
 def test_window_pair_matches_oracle():
     rng = np.random.default_rng(12)
     real = stable_generic(rng, 9, m=1, p=2)

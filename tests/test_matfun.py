@@ -1,4 +1,4 @@
-"""Matrix functions, band selectors and limited right-hand sides."""
+"""Matrix functions and limited right-hand sides."""
 
 import warnings
 
@@ -142,7 +142,7 @@ def test_logm_warns_once_above_own_threshold():
     assert "matrix logarithm may be inaccurate" in str(caught[0].message)
 
 
-# -------------------------------------------------------------- band selector
+# ----------------------------------------------------------- band-limited rhs
 
 def _scalar_real(a=-1.0, e=1.0, b=1.0, c=1.0):
     return slt.FirstOrderRealization(np.array([[e]]), np.array([[a]]),
@@ -150,11 +150,11 @@ def _scalar_real(a=-1.0, e=1.0, b=1.0, c=1.0):
 
 
 def test_band_selector_scalar_frozen():
-    # For x' = -x the selector collapses to
+    # For x' = -x with e = b = c = 1, B_lim is the selector F itself:
     # (arctan(w2) - arctan(w1)) / pi = 0.10241638234956672 on [1, 2].
     real = _scalar_real()
     band = slt.FrequencyBand([(1.0, 2.0)])
-    F = slt.band_selector(real, band)
+    F = slt.freq_limited_rhs(real, band).B_lim
     expected = (np.arctan(2.0) - np.arctan(1.0)) / np.pi
     assert F.shape == (1, 1)
     assert F[0, 0] == pytest.approx(expected, abs=1e-13)
@@ -163,21 +163,9 @@ def test_band_selector_scalar_frozen():
 
 def test_band_selector_scalar_additive():
     real = _scalar_real()
-    F_a = slt.band_selector(real, slt.FrequencyBand([(1.0, 2.0)]))
-    F_b = slt.band_selector(real, slt.FrequencyBand([(2.0, 3.0)]))
-    F_ab = slt.band_selector(real, slt.FrequencyBand([(1.0, 3.0)]))
+    F_a, F_b, F_ab = (slt.freq_limited_rhs(real, slt.FrequencyBand([iv])).B_lim
+                      for iv in ((1.0, 2.0), (2.0, 3.0), (1.0, 3.0)))
     assert F_a[0, 0] + F_b[0, 0] == pytest.approx(F_ab[0, 0], abs=1e-13)
-
-
-def test_band_selector_variants_agree():
-    rng = np.random.default_rng(4)
-    real = stable_generic(rng, 8)
-    band = slt.FrequencyBand([(0.3, 1.0), (2.0, 4.0)])
-    Fl = slt.band_selector(real, band, variant="left")
-    Fr = slt.band_selector(real, band, variant="right")
-    assert_allclose(Fl, Fr, rtol=1e-9, atol=1e-11)
-    with pytest.raises(errors.InvalidParams):
-        slt.band_selector(real, band, variant="middle")
 
 
 def test_band_selector_zero_start_path():
@@ -185,60 +173,50 @@ def test_band_selector_zero_start_path():
     # with the general interval-product route up to the (tiny) [0, eps] sliver.
     rng = np.random.default_rng(5)
     real = stable_generic(rng, 6)
-    F0 = slt.band_selector(real, slt.FrequencyBand([(0.0, 2.0)]))
-    Feps = slt.band_selector(real, slt.FrequencyBand([(1e-9, 2.0)]))
-    assert_allclose(F0, Feps, rtol=1e-6, atol=1e-8)
-    F0r = slt.band_selector(real, slt.FrequencyBand([(0.0, 2.0)]), variant="right")
-    assert_allclose(F0, F0r, rtol=1e-9, atol=1e-11)
+    rhs0 = slt.freq_limited_rhs(real, slt.FrequencyBand([(0.0, 2.0)]))
+    rhs_eps = slt.freq_limited_rhs(real, slt.FrequencyBand([(1e-9, 2.0)]))
+    assert_allclose(rhs0.B_lim, rhs_eps.B_lim, rtol=1e-6, atol=1e-8)
+    assert_allclose(rhs0.C_lim, rhs_eps.C_lim, rtol=1e-6, atol=1e-8)
 
 
-def _dense_band_oracle(real, band, variant):
+def _dense_band_oracle(real, band):
     """``F_Omega`` from the product of dense pencil solves and scipy's logm."""
     calE, calA = real.calE, real.calA
     G = np.eye(real.N, dtype=complex)
     for a, b in band.intervals:
-        lo, hi = calA + 1j * a * calE, calA + 1j * b * calE
-        G = G @ (np.linalg.solve(lo, hi) if variant == "left"
-                 else np.linalg.solve(lo.T, hi.T).T)
+        G = G @ np.linalg.solve(calA + 1j * a * calE, calA + 1j * b * calE)
     L = np.real((1j / np.pi) * spla.logm(G))
-    Einv = np.linalg.inv(calE)
-    return L @ Einv if variant == "left" else Einv @ L
+    return L @ np.linalg.inv(calE)
 
 
-def _assert_matches_dense_oracle(real, band, variant):
-    """``F``, ``B_lim`` and ``C_lim`` within 1e-10 relative of the oracle."""
-    F_ref = _dense_band_oracle(real, band, variant)
-    F = slt.band_selector(real, band, variant=variant)
-    assert np.linalg.norm(F - F_ref) <= 1e-10 * np.linalg.norm(F_ref)
-    rhs = slt.freq_limited_rhs(real, band, variant=variant)
+def _assert_matches_dense_oracle(real, band):
+    """``B_lim`` and ``C_lim`` within 1e-10 relative of the oracle."""
+    F_ref = _dense_band_oracle(real, band)
+    rhs = slt.freq_limited_rhs(real, band)
     B_ref = real.calE @ F_ref @ real.calB
     C_ref = real.calC @ F_ref @ real.calE
     assert np.linalg.norm(rhs.B_lim - B_ref) <= 1e-10 * np.linalg.norm(B_ref)
     assert np.linalg.norm(rhs.C_lim - C_ref) <= 1e-10 * np.linalg.norm(C_ref)
 
 
-@pytest.mark.parametrize("variant", ["left", "right"])
-def test_band_selector_matches_dense_oracle(variant):
+def test_band_selector_matches_dense_oracle():
     rng = np.random.default_rng(11)
     real = stable_generic(rng, 10, m=2, p=3)  # calE is not the identity
-    _assert_matches_dense_oracle(real, slt.FrequencyBand([(0.3, 1.0), (2.0, 4.0)]),
-                                 variant)
+    _assert_matches_dense_oracle(real, slt.FrequencyBand([(0.3, 1.0), (2.0, 4.0)]))
 
 
 def test_band_selector_needs_no_separate_eigensolve(monkeypatch):
-    # stability, branch cut and logarithm all come from one Schur form
+    # stability, branch cut and logarithm all come from one eigendecomposition
     real = stable_generic(np.random.default_rng(12), 8)
     monkeypatch.setattr(np.linalg, "eigvals", _no_eigensolve)
     monkeypatch.setattr(slt.FirstOrderRealization, "pencil_eigenvalues",
                         _no_eigensolve)
     for band in (slt.FrequencyBand([(0.0, 2.0)]),
                  slt.FrequencyBand([(0.3, 1.0), (2.0, 4.0)])):
-        for variant in ("left", "right"):
-            assert np.all(np.isfinite(slt.band_selector(real, band, variant)))
-            rhs = slt.freq_limited_rhs(real, band, variant)
-            assert np.all(np.isfinite(rhs.B_lim)) and np.all(np.isfinite(rhs.C_lim))
+        rhs = slt.freq_limited_rhs(real, band)
+        assert np.all(np.isfinite(rhs.B_lim)) and np.all(np.isfinite(rhs.C_lim))
     with pytest.raises(errors.UnstableRealization):
-        slt.band_selector(_scalar_real(a=1.0), slt.FrequencyBand([(1.0, 2.0)]))
+        slt.freq_limited_rhs(_scalar_real(a=1.0), slt.FrequencyBand([(1.0, 2.0)]))
 
 
 def _no_schur_fallback(*args, **kwargs):
@@ -249,11 +227,7 @@ def test_band_rhs_takes_eig_route_on_chain(monkeypatch):
     # a chain's eigenvectors are well conditioned: no triangular logarithm
     monkeypatch.setattr(matfun, "logm_principal", _no_schur_fallback)
     real = slt.first_companion(slt.generate_chain(60))
-    band = slt.FrequencyBand.from_hz([(0.01, 0.1)])
-    left, right = (slt.freq_limited_rhs(real, band, v) for v in ("left", "right"))
-    assert_allclose(left.B_lim, right.B_lim, rtol=0, atol=1e-10 * np.abs(left.B_lim).max())
-    assert_allclose(left.C_lim, right.C_lim, rtol=0, atol=1e-10 * np.abs(left.C_lim).max())
-    assert np.all(np.isfinite(slt.band_selector(real, band)))
+    _assert_matches_dense_oracle(real, slt.FrequencyBand.from_hz([(0.01, 0.1)]))
 
 
 BANDS = {
@@ -264,11 +238,10 @@ BANDS = {
 
 
 @pytest.mark.parametrize("band", BANDS.values(), ids=BANDS.keys())
-@pytest.mark.parametrize("variant", ["left", "right"])
-def test_band_rhs_eig_route_matches_dense_oracle(monkeypatch, variant, band):
+def test_band_rhs_eig_route_matches_dense_oracle(monkeypatch, band):
     monkeypatch.setattr(matfun, "logm_principal", _no_schur_fallback)
     real = stable_generic(np.random.default_rng(13), 12, m=2, p=3)
-    _assert_matches_dense_oracle(real, band, variant)
+    _assert_matches_dense_oracle(real, band)
 
 
 def _near_defective(rng, N=10, delta=1e-10):
@@ -285,8 +258,7 @@ def _near_defective(rng, N=10, delta=1e-10):
                                      rng.standard_normal((2, N)))
 
 
-@pytest.mark.parametrize("variant", ["left", "right"])
-def test_band_rhs_near_defective_takes_schur_fallback(monkeypatch, variant):
+def test_band_rhs_near_defective_takes_schur_fallback(monkeypatch):
     real = _near_defective(np.random.default_rng(21))
     calls = []
 
@@ -296,8 +268,8 @@ def test_band_rhs_near_defective_takes_schur_fallback(monkeypatch, variant):
 
     monkeypatch.setattr(matfun, "logm_principal", spy)
     for band in (BANDS["zero_start"], slt.FrequencyBand([(0.3, 1.0), (2.0, 4.0)])):
-        _assert_matches_dense_oracle(real, band, variant)
-    assert calls == [(10, 10)] * 4  # band_selector and freq_limited_rhs, twice
+        _assert_matches_dense_oracle(real, band)
+    assert calls == [(10, 10)] * 2  # one per band
 
 
 def test_band_rhs_errors_on_eig_route(monkeypatch):
@@ -313,19 +285,14 @@ def test_band_rhs_errors_on_eig_route(monkeypatch):
     d, w = 1e-14, 2.0
     real = slt.FirstOrderRealization(np.eye(2), np.array([[-d, w], [-w, -d]]),
                                      np.ones((2, 1)), np.ones((1, 2)))
-    for variant in ("left", "right"):
-        with pytest.raises(errors.BranchCutViolation):
-            slt.freq_limited_rhs(real, band, variant)
-        with pytest.raises(errors.BranchCutViolation):
-            slt.band_selector(real, band, variant)
+    with pytest.raises(errors.BranchCutViolation):
+        slt.freq_limited_rhs(real, band)
     assert np.all(np.isfinite(slt.freq_limited_rhs(
         real, slt.FrequencyBand([(0.0, 3.0)])).B_lim))
 
 
 def test_band_selector_requires_stable():
     real = _scalar_real(a=1.0)
-    with pytest.raises(errors.UnstableRealization):
-        slt.band_selector(real, slt.FrequencyBand([(1.0, 2.0)]))
     with pytest.raises(errors.UnstableRealization):
         slt.freq_limited_rhs(real, slt.FrequencyBand([(1.0, 2.0)]))
 
