@@ -248,7 +248,7 @@ class FirstOrderRom:
     error_bound: float
 
 
-def first_order_bt(real, order_tol=1e-4, fixed_r=None, solver_options=None):
+def first_order_bt(real, order_tol=1e-4, fixed_r=None):
     """Classical square-root balanced truncation of a first-order realization.
 
     Solves the infinite Gramian pair, takes the SVD of ``L^T calE R`` and
@@ -256,10 +256,9 @@ def first_order_bt(real, order_tol=1e-4, fixed_r=None, solver_options=None):
     (Hankel) singular values; the worst-case transfer error over the whole
     frequency axis stays below it.
     """
-    opts = dict(solver_options or {})
     P, Q, _ = solve_lyap_sign_dual(real.calE, real.calA,
                                    IndefiniteRhs.definite(real.calB),
-                                   IndefiniteRhs.definite(real.calC.T), **opts)
+                                   IndefiniteRhs.definite(real.calC.T))
     R = P.cholesky_like()
     L = Q.cholesky_like()
     LU, sigma, RV = _balanced_pairs(L, real.calE, R, order_tol, fixed_r)

@@ -63,8 +63,8 @@ def cmd_generate(args):
 
 _CONFIG_KEYS = {
     "input", "output", "name", "method", "formula", "band", "window",
-    "order", "alpha", "realization", "j", "gamma", "solver",
-    "solver_options", "modified", "hybrid",
+    "order", "alpha", "realization", "j", "gamma", "solver", "modified",
+    "hybrid",
 }
 
 
@@ -123,7 +123,6 @@ def _load_job(path):
         gamma=job.get("gamma"),
         alpha=float(job.get("alpha", 0.0)),
         solver=job.get("solver", "sign"),
-        solver_options=job.get("solver_options", {}),
         modified=bool(job.get("modified", False)),
         hybrid=hybrid)
     config.validate()

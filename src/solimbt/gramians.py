@@ -64,29 +64,26 @@ class CharacteristicValues:
 KINDS = ("position", "position_velocity", "velocity_position", "velocity")
 
 
-def _solve_pair(real, make_rhs, flavor, band=None, window=None,
-                solver="sign", solver_options=None):
+def _solve_pair(real, make_rhs, flavor, band=None, window=None, solver="sign"):
     """Solve both Lyapunov equations.  ``make_rhs(real)`` returns the
     factored ``(rhs_c, rhs_o)`` of a realization: the full one for the sign
     solver, the projected one for the projection solver."""
-    opts = dict(solver_options or {})
     if solver == "sign":
         P, Q, info = lyapunov.solve_lyap_sign_dual(real.calE, real.calA,
-                                                   *make_rhs(real), **opts)
+                                                   *make_rhs(real))
     elif solver == "projection":
         P, Q, info = lyapunov.solve_lyap_projection_dual(
-            real, make_rhs, band=band, window=window, **opts)
+            real, make_rhs, band=band, window=window)
     else:
         raise InvalidParams(f"unknown solver {solver!r}")
     return GramianPair(P, Q, flavor, band=band, window=window, info=info)
 
 
-def infinite_gramians(real, solver="sign", solver_options=None):
+def infinite_gramians(real, solver="sign"):
     """Classical Gramian pair of a c-stable realization."""
     return _solve_pair(real, lambda r: (IndefiniteRhs.definite(r.calB),
                                         IndefiniteRhs.definite(r.calC.T)),
-                       "infinite",
-                       solver=solver, solver_options=solver_options)
+                       "infinite", solver=solver)
 
 
 def _limited_rhs(real, band, window):
@@ -108,7 +105,7 @@ def _limited_rhs(real, band, window):
             IndefiniteRhs(np.hstack(Go), signature(real.p)))
 
 
-def frequency_limited_gramians(real, band, solver="sign", solver_options=None):
+def frequency_limited_gramians(real, band, solver="sign"):
     """Band-limited Gramian pair.
 
     The right-hand sides couple the band-limited maps with the plain ones:
@@ -116,19 +113,17 @@ def frequency_limited_gramians(real, band, solver="sign", solver_options=None):
     transposed analogue for the outputs).
     """
     return _solve_pair(real, lambda r: _limited_rhs(r, band, None),
-                       "band", band=band,
-                       solver=solver, solver_options=solver_options)
+                       "band", band=band, solver=solver)
 
 
-def time_limited_gramians(real, window, solver="sign", solver_options=None):
+def time_limited_gramians(real, window, solver="sign"):
     """Window-limited Gramian pair.
 
     Right-hand sides are differences of propagated maps at the window
     endpoints, ``[B_t0, B_tf]`` against ``diag(I, -I)``.
     """
     return _solve_pair(real, lambda r: _limited_rhs(r, None, window),
-                       "window", window=window,
-                       solver=solver, solver_options=solver_options)
+                       "window", window=window, solver=solver)
 
 
 def definite_surrogate(rhs, cutoff=1e-12):
@@ -148,7 +143,7 @@ def definite_surrogate(rhs, cutoff=1e-12):
     return (Q @ V[:, keep]) * np.sqrt(np.abs(eta[keep]))
 
 
-def modified_gramians(real, band=None, window=None, solver_options=None):
+def modified_gramians(real, band=None, window=None):
     """Definite-right-hand-side surrogates of the limited Gramians.
 
     The modified pair dominates the corresponding limited pair in the
@@ -161,8 +156,7 @@ def modified_gramians(real, band=None, window=None, solver_options=None):
     return _solve_pair(
         real, lambda r: tuple(IndefiniteRhs.definite(definite_surrogate(x))
                               for x in _limited_rhs(r, band, window)),
-        flavor, band=band, window=window,
-        solver="sign", solver_options=solver_options)
+        flavor, band=band, window=window)
 
 
 def partition(pair, n):

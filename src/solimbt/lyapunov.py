@@ -34,6 +34,15 @@ from .errors import (
 )
 from .system import FirstOrderRealization, _getrf, _shifted_solves
 
+# Fixed settings of the sign iteration: it stops once the distance
+# ``||X_k + I||_F / sqrt(N)`` of the iterate from its limit ``-I`` is at
+# most SIGN_TOL, gives up after
+# SIGN_MAXITER steps, and drops factor directions below COMPRESS_TOL
+# relative at each step.
+SIGN_TOL = 1e-12
+SIGN_MAXITER = 100
+COMPRESS_TOL = 1e-14
+
 
 @dataclass
 class GramianFactor:
@@ -63,10 +72,6 @@ class GramianFactor:
 
     def trace(self):
         return float(np.einsum("ij,ji->", self.Y, self.Z.T @ self.Z))
-
-    def compressed(self, tol=1e-14):
-        Z, Y = ldl_compress(self.Z, self.Y, tol=tol)
-        return GramianFactor(Z, Y)
 
     def cholesky_like(self):
         """Plain factor ``R`` with ``X ~= R R^T`` (negative core part dropped)."""
@@ -112,13 +117,14 @@ def ldl_compress(Z, Y, tol=1e-14):
     return Q @ V[:, keep], np.diag(w[keep])
 
 
-def solve_lyap_sign_dual(calE, calA, rhs_c, rhs_o, tol=1e-12, maxiter=100,
-                         compress_tol=1e-14):
+def solve_lyap_sign_dual(calE, calA, rhs_c, rhs_o):
     """Sign-function iteration for the dual pair of generalized Lyapunov
     equations with factored indefinite right-hand sides.
 
     One LU of ``calE`` turns the pair into the standard-form equations for
     ``X = calE^{-1} calA``; the iteration then takes one inverse per step.
+    Its settings are the module constants ``SIGN_TOL``, ``SIGN_MAXITER``
+    and ``COMPRESS_TOL``.
 
     Parameters
     ----------
@@ -128,12 +134,6 @@ def solve_lyap_sign_dual(calE, calA, rhs_c, rhs_o, tol=1e-12, maxiter=100,
         :class:`IndefiniteRhs` factors of the controllability
         (``G_c S_c G_c^T``) and observability (``G_o S_o G_o^T``) right-hand
         sides.
-    tol
-        Stopping tolerance on ``||X_k + I||_F / sqrt(N)``, the distance of
-        the iterate from its limit ``sign(X) = -I``.
-    compress_tol
-        Column compression tolerance applied to both factor streams each
-        iteration.
 
     Returns
     -------
@@ -146,7 +146,7 @@ def solve_lyap_sign_dual(calE, calA, rhs_c, rhs_o, tol=1e-12, maxiter=100,
     UnstablePencil
         If ``calE`` or an iterate is singular, or the iteration diverges.
     NotConverged
-        If the cap of ``maxiter`` iterations is hit.
+        If the cap of ``SIGN_MAXITER`` iterations is hit.
     """
     A = np.asarray(calA, dtype=float)
     E = np.asarray(calE, dtype=float)
@@ -169,7 +169,7 @@ def solve_lyap_sign_dual(calE, calA, rhs_c, rhs_o, tol=1e-12, maxiter=100,
     norm_scale = max(spla.norm(X), np.sqrt(N))
     rel_err = spla.norm(X + ident) / np.sqrt(N)
     num_iter = 0
-    while rel_err > tol and num_iter < maxiter:
+    while rel_err > SIGN_TOL and num_iter < SIGN_MAXITER:
         try:
             Xinv = spla.inv(X)
         except spla.LinAlgError as exc:
@@ -183,19 +183,19 @@ def solve_lyap_sign_dual(calE, calA, rhs_c, rhs_o, tol=1e-12, maxiter=100,
 
         B, Yc = ldl_compress(np.hstack([B, Xinv @ B]),
                              spla.block_diag(half_inv * Yc, half_c * Yc),
-                             tol=compress_tol)
+                             tol=COMPRESS_TOL)
         Ct, Yo = ldl_compress(np.hstack([Ct, Xinv.T @ Ct]),
                               spla.block_diag(half_inv * Yo, half_c * Yo),
-                              tol=compress_tol)
+                              tol=COMPRESS_TOL)
 
         X = half_inv * X + half_c * Xinv
         num_iter += 1
         rel_err = spla.norm(X + ident) / np.sqrt(N)
         if spla.norm(X) > 1e8 * norm_scale:
             raise UnstablePencil("sign iteration diverged; pencil is not c-stable")
-    if rel_err > tol:
-        raise NotConverged(
-            f"sign iteration: rel error {rel_err:.3e} > {tol:.1e} after {num_iter} steps")
+    if rel_err > SIGN_TOL:
+        raise NotConverged(f"sign iteration: rel error {rel_err:.3e} > "
+                           f"{SIGN_TOL:.1e} after {num_iter} steps")
 
     Z1 = B / np.sqrt(2.0)
     Z2 = spla.lu_solve(lu_E, Ct, trans=1) / np.sqrt(2.0)
@@ -255,8 +255,7 @@ def _default_shifts(band, window, real):
 
 
 def solve_lyap_projection_dual(real, make_rhs, band=None, window=None,
-                               shifts=None, num_shifts=40, batch=8, tol=1e-8,
-                               max_dim=None):
+                               shifts=None, batch=8):
     """Rational-Krylov projection solver for the dual Lyapunov pair.
 
     Builds one orthonormal basis ``V`` from the solves
@@ -265,14 +264,14 @@ def solve_lyap_projection_dual(real, make_rhs, band=None, window=None,
     ``(V^T calE V, V^T calA V, V^T calB, calC V)``, builds the right-hand
     sides on it with ``make_rhs(small) -> (rhs_c, rhs_o)`` and solves the
     small pair with :func:`solve_lyap_sign_dual`.  The subspace grows in
-    batches of shifts until the traces of both Gramians change by at most
-    ``tol`` relatively.
+    batches of ``batch`` shifts until the traces of both Gramians change by
+    at most 1e-8 relatively, or until the basis spans the whole space.
 
     Parameters
     ----------
     shifts
         Optional explicit array of shift frequencies (rad/s, positive).  By
-        default ``num_shifts`` of them are spread logarithmically over the
+        default 40 of them are spread logarithmically over the
         band hull, over ``[1/tf, 10 N/tf]`` for a window, or else over
         ``10^{+-3}`` times the pencil scale ``||calA||_F / ||calE||_F``.
 
@@ -290,10 +289,9 @@ def solve_lyap_projection_dual(real, make_rhs, band=None, window=None,
     NotConverged
         If the shift budget is exhausted before the traces settle.
     """
-    max_dim = real.N if max_dim is None else min(max_dim, real.N)
     if shifts is None:
         lo, hi = _default_shifts(band, window, real)
-        shifts = np.logspace(np.log10(lo), np.log10(hi), num_shifts)
+        shifts = np.logspace(np.log10(lo), np.log10(hi), 40)
     shifts = np.asarray(shifts, dtype=float)
 
     raw = []
@@ -305,7 +303,7 @@ def solve_lyap_projection_dual(real, make_rhs, band=None, window=None,
                 raise UnstablePencil(f"shift {s} is (near) a pole")
             for blk in XD:
                 raw += [blk.real, blk.imag]
-        V = spla.orth(np.hstack(raw))[:, :max_dim]
+        V = spla.orth(np.hstack(raw))
         small = FirstOrderRealization(V.T @ real.calE @ V, V.T @ real.calA @ V,
                                       V.T @ real.calB, real.calC @ V)
         if np.max(small.pencil_eigenvalues().real) >= 0.0:
@@ -315,9 +313,9 @@ def solve_lyap_projection_dual(real, make_rhs, band=None, window=None,
         Ps, Qs, _ = solve_lyap_sign_dual(small.calE, small.calA, *make_rhs(small))
         traces = np.array([Ps.trace(), Qs.trace()])
         settled = bool(trace_history) and np.all(
-            np.abs(traces - trace_history[-1]) <= tol * np.abs(traces))
+            np.abs(traces - trace_history[-1]) <= 1e-8 * np.abs(traces))
         trace_history.append(traces)
-        if settled or V.shape[1] >= max_dim:
+        if settled or V.shape[1] >= real.N:
             break
     else:
         raise NotConverged("projection subspace exhausted before the traces settled")

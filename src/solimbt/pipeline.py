@@ -35,12 +35,6 @@ from .system import (
 
 METHODS = ("bt", "flbt", "tlbt")
 
-# ``solver_options`` keys each Gramian solver accepts
-SOLVER_OPTIONS = {
-    "sign": {"tol", "maxiter", "compress_tol"},
-    "projection": {"tol", "num_shifts", "batch", "max_dim"},
-}
-
 
 def alpha_shift(sys, alpha):
     """Shift the frequency variable by ``alpha > 0``:
@@ -115,9 +109,9 @@ class ReductionConfig:
     ``fixed_order`` is set.  ``realization`` is ``"companion"`` (coupling
     block ``j``: ``"identity"``, ``"neg_k"`` or an explicit ``n x n``
     matrix) or ``"dissipative"`` (optional ``gamma``; the coupling block is
-    then implicitly the identity).  ``solver_options`` holds keys of
-    ``SOLVER_OPTIONS[solver]`` only.  ``hybrid`` holds ``(omegas, tol)``
-    sample frequencies for the pre-reduction step, or ``None``.
+    then implicitly the identity).  ``solver`` is ``"sign"`` or
+    ``"projection"``.  ``hybrid`` holds ``(omegas, tol)`` sample frequencies
+    for the pre-reduction step, or ``None``.
     """
 
     method: str = "bt"
@@ -131,7 +125,6 @@ class ReductionConfig:
     gamma: float | None = None
     alpha: float = 0.0
     solver: str = "sign"
-    solver_options: dict = field(default_factory=dict)
     modified: bool = False
     hybrid: tuple | None = None
 
@@ -152,9 +145,6 @@ class ReductionConfig:
             raise InvalidParams("modified Gramians apply to flbt/tlbt only")
         if self.modified and self.solver == "projection":
             raise InvalidParams("modified Gramians need the dense sign solver")
-        bad = sorted(set(self.solver_options) - SOLVER_OPTIONS[self.solver])
-        if bad:
-            raise InvalidParams(f"{self.solver} solver takes no solver_options {bad}")
 
 
 @dataclass
@@ -211,19 +201,15 @@ def reduce(sys, config):
     if config.modified:
         pair = gramians.modified_gramians(
             real, band=config.band if config.method == "flbt" else None,
-            window=config.window if config.method == "tlbt" else None,
-            solver_options=config.solver_options)
+            window=config.window if config.method == "tlbt" else None)
     elif config.method == "bt":
-        pair = gramians.infinite_gramians(real, solver=config.solver,
-                                          solver_options=config.solver_options)
+        pair = gramians.infinite_gramians(real, solver=config.solver)
     elif config.method == "flbt":
-        pair = gramians.frequency_limited_gramians(
-            real, config.band, solver=config.solver,
-            solver_options=config.solver_options)
+        pair = gramians.frequency_limited_gramians(real, config.band,
+                                                   solver=config.solver)
     else:
-        pair = gramians.time_limited_gramians(
-            real, config.window, solver=config.solver,
-            solver_options=config.solver_options)
+        pair = gramians.time_limited_gramians(real, config.window,
+                                              solver=config.solver)
     timings["gramians"] = time.perf_counter() - t0
 
     if config.realization == "dissipative":

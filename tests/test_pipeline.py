@@ -84,19 +84,13 @@ def test_config_validation():
         dict(solver="nope"),
         dict(method="bt", modified=True),
         dict(method="flbt", band=band, modified=True, solver="projection"),
-        # each solver takes only its own options
-        dict(solver="projection", solver_options={"maxiter": 5}),
-        dict(solver="sign", solver_options={"num_shifts": 8}),
-        dict(method="flbt", band=band, modified=True,
-             solver_options={"batch": 2}),
     ]
     for kwargs in bad:
         with pytest.raises(errors.InvalidParams):
             slt.ReductionConfig(**kwargs).validate()
     slt.ReductionConfig(method="flbt", band=band).validate()
     slt.ReductionConfig(method="tlbt", window=win).validate()
-    slt.ReductionConfig(solver="projection",
-                        solver_options={"tol": 1e-6, "num_shifts": 8}).validate()
+    slt.ReductionConfig(solver="projection").validate()
 
 
 def test_reduce_coupling_block_choices():
