@@ -32,7 +32,7 @@ from .errors import (
     UnstablePencil,
     UnstableProjection,
 )
-from .system import FirstOrderRealization, _getrf, _shifted_solves
+from .system import FirstOrderRealization, _shifted_solves
 
 # Fixed settings of the sign iteration: it stops once the distance
 # ``||X_k + I||_F / sqrt(N)`` of the iterate from its limit ``-I`` is at
@@ -121,7 +121,7 @@ def solve_lyap_sign_dual(calE, calA, rhs_c, rhs_o):
     """Sign-function iteration for the dual pair of generalized Lyapunov
     equations with factored indefinite right-hand sides.
 
-    One LU of ``calE`` turns the pair into the standard-form equations for
+    One solve with ``calE`` turns the pair into the standard-form equations for
     ``X = calE^{-1} calA``; the iteration then takes one inverse per step.
     Its settings are the module constants ``SIGN_TOL``, ``SIGN_MAXITER``
     and ``COMPRESS_TOL``.
@@ -157,14 +157,16 @@ def solve_lyap_sign_dual(calE, calA, rhs_c, rhs_o):
     Ct, Yo = rhs_o.G, rhs_o.S
     if B.shape[0] != N or Ct.shape[0] != N:
         raise DimensionMismatch("right-hand side factors must have N rows")
-    lu_E = _getrf(E)
-    if lu_E is None:
-        raise UnstablePencil("singular calE; the pencil has an infinite eigenvalue")
 
     # standard form in X = calE^{-1} calA: X P + P X^T + G S_c G^T = 0 with
-    # G = calE^{-1} G_c, and X^T W + W X + G_o S_o G_o^T = 0 with W = calE^T Q calE
-    X = spla.lu_solve(lu_E, A)
-    B = spla.lu_solve(lu_E, B)
+    # G = calE^{-1} G_c, and X^T W + W X + G_o S_o G_o^T = 0 with W = calE^T Q calE.
+    # spla.solve detects a diagonal or SPD calE, which a plain LU would not.
+    try:
+        X = spla.solve(E, A)
+        B = spla.solve(E, B)
+    except spla.LinAlgError as exc:
+        raise UnstablePencil(
+            "singular calE; the pencil has an infinite eigenvalue") from exc
     ident = np.eye(N)
     norm_scale = max(spla.norm(X), np.sqrt(N))
     rel_err = spla.norm(X + ident) / np.sqrt(N)
@@ -198,7 +200,7 @@ def solve_lyap_sign_dual(calE, calA, rhs_c, rhs_o):
                            f"{SIGN_TOL:.1e} after {num_iter} steps")
 
     Z1 = B / np.sqrt(2.0)
-    Z2 = spla.lu_solve(lu_E, Ct, trans=1) / np.sqrt(2.0)
+    Z2 = spla.solve(E, Ct, transposed=True) / np.sqrt(2.0)
     info = {"num_iter": num_iter, "rel_err": rel_err}
     return GramianFactor(Z1, Yc), GramianFactor(Z2, Yo), info
 
