@@ -38,7 +38,7 @@ from .errors import (
     SingularS,
 )
 from .lyapunov import IndefiniteRhs, solve_lyap_sign_dual
-from .system import GENERIC, FirstOrderRealization, SecondOrderSystem, make_second_order
+from .system import FirstOrderRealization, SecondOrderSystem, make_second_order
 
 FORMULAS = ("v", "fv", "vpm", "pm", "pv", "vp", "p", "so")
 
@@ -268,6 +268,6 @@ def first_order_bt(real, order_tol=1e-4, fixed_r=None):
     T = RV * sq
     rom = FirstOrderRealization(
         W.T @ real.calE @ T, W.T @ real.calA @ T, W.T @ real.calB,
-        real.calC @ T, kind=GENERIC)
+        real.calC @ T)
     bound = 2.0 * float(np.sum(sigma[r:]))
     return FirstOrderRom(realization=rom, r=r, sigma=sigma, error_bound=bound)

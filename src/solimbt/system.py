@@ -38,11 +38,6 @@ from .errors import (
     SingularMass,
 )
 
-COMPANION = "companion"
-STRICTLY_DISSIPATIVE = "strictly_dissipative"
-GENERIC = "generic"
-
-
 def _as_matrix(A, name, dtype=float, sparse=False):
     if sparse:
         A = scipy.sparse.csc_array(A, dtype=dtype, copy=True)
@@ -156,17 +151,14 @@ class SecondOrderSystem:
 class FirstOrderRealization:
     """First-order pencil realization ``calE q' = calA q + calB u``, ``y = calC q``.
 
-    ``kind`` records how the realization was built (``"companion"``,
-    ``"strictly_dissipative"`` or ``"generic"`` for realizations that do not
-    come from a second-order system).  For the dissipative kind ``gamma``
-    holds the shift used.
+    ``gamma`` holds the shift of a :func:`strictly_dissipative` realization
+    and is ``None`` otherwise.
     """
 
     calE: np.ndarray
     calA: np.ndarray
     calB: np.ndarray
     calC: np.ndarray
-    kind: str = GENERIC
     gamma: float | None = None
     _eigs: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -298,7 +290,7 @@ def first_companion(sys, j="identity"):
     calA = np.block([[np.zeros((n, n)), J], [-sys.K, -sys.E]])
     calB = np.vstack([np.zeros((n, sys.m)), sys.B_u])
     calC = np.hstack([sys.C_p, sys.C_v])
-    return FirstOrderRealization(calE, calA, calB, calC, kind=COMPANION)
+    return FirstOrderRealization(calE, calA, calB, calC)
 
 
 def _check_spd(A, name, tol=1e-10):
@@ -360,8 +352,7 @@ def strictly_dissipative(sys, gamma=None):
     calA = np.block([[-g * K, K - g * E], [-K, -E + g * M]])
     calB = np.vstack([g * sys.B_u, sys.B_u])
     calC = np.hstack([sys.C_p, sys.C_v])
-    return FirstOrderRealization(calE, calA, calB, calC,
-                                 kind=STRICTLY_DISSIPATIVE, gamma=g)
+    return FirstOrderRealization(calE, calA, calB, calC, gamma=g)
 
 
 def dissipative_backtransform_matrix(sys, gamma):

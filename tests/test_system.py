@@ -135,7 +135,6 @@ def test_companion_structure():
     sys = slt.generate_chain(2)
     assert all(scipy.sparse.issparse(A) for A in (sys.M, sys.E, sys.K))
     real = slt.first_companion(sys)
-    assert real.kind == "companion"
     n = 2
     M, E, K = (A.toarray() for A in (sys.M, sys.E, sys.K))
     assert_allclose(real.calE[:n, :n], np.eye(n))
@@ -187,7 +186,6 @@ def test_dissipative_scalar_frozen():
                                 [[1.0]], [[0.0]])
     assert slt.dissipativity_shift_bound(sys) == pytest.approx(0.8, abs=1e-14)
     real = slt.strictly_dissipative(sys)
-    assert real.kind == "strictly_dissipative"
     assert real.gamma == pytest.approx(0.4)
     assert_allclose(real.calE, [[1.0, 0.4], [0.4, 1.0]], atol=1e-14)
     assert_allclose(real.calA, [[-0.4, 0.6], [-1.0, -0.6]], atol=1e-14)
