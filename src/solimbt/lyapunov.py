@@ -36,9 +36,8 @@ from .system import FirstOrderRealization, _shifted_solves
 
 # Fixed settings of the sign iteration: it stops once the distance
 # ``||X_k + I||_F / sqrt(N)`` of the iterate from its limit ``-I`` is at
-# most SIGN_TOL, gives up after
-# SIGN_MAXITER steps, and drops factor directions below COMPRESS_TOL
-# relative at each step.
+# most SIGN_TOL, gives up after SIGN_MAXITER steps, and drops factor
+# directions below COMPRESS_TOL relative at each step.
 SIGN_TOL = 1e-12
 SIGN_MAXITER = 100
 COMPRESS_TOL = 1e-14
@@ -121,8 +120,8 @@ def solve_lyap_sign_dual(calE, calA, rhs_c, rhs_o):
     """Sign-function iteration for the dual pair of generalized Lyapunov
     equations with factored indefinite right-hand sides.
 
-    One solve with ``calE`` turns the pair into the standard-form equations for
-    ``X = calE^{-1} calA``; the iteration then takes one inverse per step.
+    Solves with ``calE`` turn the pair into the standard-form equations
+    for ``X = calE^{-1} calA``; the iteration then takes one inverse per step.
     Its settings are the module constants ``SIGN_TOL``, ``SIGN_MAXITER``
     and ``COMPRESS_TOL``.
 
@@ -159,8 +158,8 @@ def solve_lyap_sign_dual(calE, calA, rhs_c, rhs_o):
         raise DimensionMismatch("right-hand side factors must have N rows")
 
     # standard form in X = calE^{-1} calA: X P + P X^T + G S_c G^T = 0 with
-    # G = calE^{-1} G_c, and X^T W + W X + G_o S_o G_o^T = 0 with W = calE^T Q calE.
-    # spla.solve detects a diagonal or SPD calE, which a plain LU would not.
+    # G = calE^{-1} G_c, and X^T W + W X + G_o S_o G_o^T = 0 with W = calE^T Q calE;
+    # spla.solve takes a fast path for a diagonal calE, which a plain LU would not
     try:
         X = spla.solve(E, A)
         B = spla.solve(E, B)
@@ -273,9 +272,9 @@ def solve_lyap_projection_dual(real, make_rhs, band=None, window=None,
     ----------
     shifts
         Optional explicit array of shift frequencies (rad/s, positive).  By
-        default 40 of them are spread logarithmically over the
-        band hull, over ``[1/tf, 10 N/tf]`` for a window, or else over
-        ``10^{+-3}`` times the pencil scale ``||calA||_F / ||calE||_F``.
+        default 40 of them are spread logarithmically over the band hull,
+        over ``[1/tf, 10 N/tf]`` for a window, or else over ``10^{+-3}``
+        times the pencil scale ``||calA||_F / ||calE||_F``.
 
     Returns
     -------

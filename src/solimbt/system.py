@@ -38,6 +38,7 @@ from .errors import (
     SingularMass,
 )
 
+
 def _as_matrix(A, name, dtype=float, sparse=False):
     if sparse:
         A = scipy.sparse.csc_array(A, dtype=dtype, copy=True)
