@@ -159,13 +159,14 @@ def solve_lyap_sign_dual(calE, calA, rhs_c, rhs_o):
 
     # standard form in X = calE^{-1} calA: X P + P X^T + G S_c G^T = 0 with
     # G = calE^{-1} G_c, and X^T W + W X + G_o S_o G_o^T = 0 with W = calE^T Q calE;
-    # spla.solve takes a fast path for a diagonal calE, which a plain LU would not
+    # spla.solve takes a fast path for a diagonal calE, which a plain LU would
+    # not, and one solve against [calA, G_c] factors an SPD calE only once
     try:
-        X = spla.solve(E, A)
-        B = spla.solve(E, B)
+        XB = spla.solve(E, np.hstack([A, B]))
     except spla.LinAlgError as exc:
         raise UnstablePencil(
             "singular calE; the pencil has an infinite eigenvalue") from exc
+    X, B = np.ascontiguousarray(XB[:, :N]), np.ascontiguousarray(XB[:, N:])
     ident = np.eye(N)
     norm_scale = max(spla.norm(X), np.sqrt(N))
     rel_err = spla.norm(X + ident) / np.sqrt(N)
@@ -249,7 +250,7 @@ def _default_shifts(band, window, real):
     if band is not None:
         lo, hi = band.hull
         return (hi * 1e-4 if lo <= 0.0 else lo), hi
-    if window is not None:
+    if window is not None and np.isfinite(window.tf):
         return 1.0 / window.tf, 10.0 * real.N / window.tf
     scale = spla.norm(real.calA) / spla.norm(real.calE)
     return 1e-3 * scale, 1e3 * scale

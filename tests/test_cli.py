@@ -151,6 +151,9 @@ def test_reduce_config_errors(tmp_path, capsys):
     assert code == 2 and "band" in err
     code, err = run({**base, "method": "tlbt"})
     assert code == 2 and "window" in err
+    # an infinite window end is a config error, not a numerical failure
+    code, err = run({**base, "method": "tlbt", "window": {"t0": 0, "tf": np.inf}})
+    assert code == 2 and "window" in err and "bt" in err
     # a job file that still sets a removed key ("variant", "solver_options")
     # must fail, not be ignored
     for key, value in (("typo_key", 1), ("variant", "left"),

@@ -11,7 +11,7 @@ import solimbt as slt
 from solimbt import errors, matfun
 from solimbt.matfun import TWO_PI
 
-from helpers import stable_generic
+from helpers import count_calls, stable_generic
 
 
 # ---------------------------------------------------------------- band/window
@@ -78,6 +78,63 @@ def test_expm_errors():
         slt.expm(np.array([[np.nan]]))
     with pytest.raises(errors.NonFinite):
         slt.expm(np.array([[1e21]]))  # would need > 64 squarings
+    with pytest.raises(errors.DimensionMismatch):
+        slt.expm(np.eye(3), np.ones((2, 1)))
+    with pytest.raises(errors.DimensionMismatch):
+        slt.expm(np.eye(3), np.ones(3))
+    with pytest.raises(errors.NonFinite):
+        slt.expm(np.eye(3), np.array([[1.0], [np.inf], [0.0]]))
+
+
+def test_expm_action_matches_dense(monkeypatch):
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((12, 12))
+    # (A, B, dense exponentials): Taylor steps for a small ||A|| with one or
+    # several columns and for a zero A; a dense product past the crossover
+    # (EXPM_ACTION_MAX), where the Taylor bound grows with ||A||
+    cases = [(0.1 * A, rng.standard_normal((12, 3)), 0),
+             (0.1 * A, rng.standard_normal((12, 1)), 0),
+             (np.zeros((12, 12)), rng.standard_normal((12, 2)), 0),
+             (40.0 * A, rng.standard_normal((12, 2)), 1)]
+    refs = [spla.expm(A) @ B for A, B, _ in cases]
+    dense = count_calls(monkeypatch, spla, "expm")
+    for (A, B, want), ref in zip(cases, refs):
+        n0 = len(dense)
+        R = slt.expm(A, B)
+        assert len(dense) - n0 == want
+        assert R.shape == B.shape
+        assert np.linalg.norm(R - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.array_equal(slt.expm(np.zeros((12, 12)), cases[2][1]), cases[2][1])
+
+
+def test_expm_action_deterministic():
+    # no norm estimator: bit-identical results whatever numpy's global RNG
+    # holds, and that state is left alone
+    rng = np.random.default_rng(4)
+    A, B = 0.2 * rng.standard_normal((30, 30)), rng.standard_normal((30, 3))
+    np.random.seed(5)
+    state = np.random.get_state()
+    R = slt.expm(A, B)
+    after = np.random.get_state()
+    assert all(np.array_equal(a, b) for a, b in zip(state, after))
+    assert np.array_equal(slt.expm(A, B), R)
+    np.random.seed(6)
+    assert np.array_equal(slt.expm(A, B), R)
+
+
+def test_expm_action_overflow(monkeypatch):
+    # a large trace is shifted out of the Taylor steps and comes back as
+    # exp(mu / s), which overflows
+    monkeypatch.setattr(spla, "expm", _no_dense_expm)
+    A = 800.0 * np.eye(10) + 0.01 * np.eye(10, k=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.NonFinite):
+            slt.expm(A, np.ones((10, 2)))
+
+
+def _no_dense_expm(A):
+    raise AssertionError("dense expm called")
 
 
 # ----------------------------------------------------------------------- logm
@@ -328,17 +385,61 @@ def test_time_limited_rhs_scalar():
     assert np.array_equal(rhs.B_t0, real.calB)
 
 
-def test_time_limited_rhs_matches_direct_exponential():
-    # calE exp(calE^-1 calA t) calE^-1 calB == exp(calA calE^-1 t) calB
+@pytest.mark.parametrize("win, n_dense", [(slt.TimeWindow(0.05, 0.1), 0),
+                                           (slt.TimeWindow(0.4, 40.0), 2)])
+def test_time_limited_rhs_matches_direct_exponential(win, n_dense, monkeypatch):
+    # calE exp(calE^-1 calA t) calE^-1 calB == exp(calA calE^-1 t) calB, by
+    # the Taylor action (small t ||X||) and past the crossover by one dense
+    # exponential per endpoint
     rng = np.random.default_rng(7)
-    real = stable_generic(rng, 6, m=2, p=2)
-    win = slt.TimeWindow(0.4, 1.7)
+    real = stable_generic(rng, 20, m=2, p=3)
+    dense = count_calls(monkeypatch, spla, "expm")
     rhs = slt.time_limited_rhs(real, win)
+    assert len(dense) == n_dense
     for t, Bt, Ct in ((win.t0, rhs.B_t0, rhs.C_t0), (win.tf, rhs.B_tf, rhs.C_tf)):
         direct_B = spla.expm(real.calA @ np.linalg.inv(real.calE) * t) @ real.calB
         direct_C = real.calC @ spla.expm(np.linalg.inv(real.calE) @ real.calA * t)
         assert_allclose(Bt, direct_B, rtol=1e-10, atol=1e-12)
         assert_allclose(Ct, direct_C, rtol=1e-10, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def chain300():
+    return slt.first_companion(slt.generate_chain(300))
+
+
+def test_time_limited_rhs_short_window_forms_no_exponential(chain300, monkeypatch):
+    real, win = chain300, slt.TimeWindow(0.0, 20.0)
+    X = np.linalg.solve(real.calE, real.calA)
+    W = spla.expm(20.0 * X)
+    monkeypatch.setattr(spla, "expm", _no_dense_expm)
+    rhs = slt.time_limited_rhs(real, win)
+    ref_B = real.calE @ (W @ np.linalg.solve(real.calE, real.calB))
+    assert np.linalg.norm(rhs.B_tf - ref_B) <= 1e-12 * np.linalg.norm(ref_B)
+    ref_C = real.calC @ W
+    assert np.linalg.norm(rhs.C_tf - ref_C) <= 1e-12 * np.linalg.norm(ref_C)
+
+
+def test_time_limited_rhs_long_window_one_exponential_per_end(chain300, monkeypatch):
+    # past the crossover each endpoint takes one dense exp(X t) for both
+    # sides, not one for X and one for X^T
+    dense = count_calls(monkeypatch, spla, "expm")
+    slt.time_limited_rhs(chain300, slt.TimeWindow(400.0, 1000.0))
+    assert len(dense) == 2
+
+
+def test_time_limited_rhs_rejects_infinite_window():
+    real = _scalar_real()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.InvalidParams, match=r"\[0\.0, inf\].*bt"):
+            slt.time_limited_rhs(real, slt.TimeWindow(0.0, np.inf))
+        # the projection solver reaches it without a warning from its shifts
+        for solver in ("sign", "projection"):
+            cfg = slt.ReductionConfig(method="tlbt", solver=solver,
+                                      window=slt.TimeWindow(0.0, np.inf))
+            with pytest.raises(errors.InvalidParams):
+                slt.reduce(slt.generate_chain(6), cfg)
 
 
 # ------------------------------------------------------------------ quadrature

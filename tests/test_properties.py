@@ -55,6 +55,17 @@ def test_band_rhs_eig_route_agrees_with_schur_fallback(real, band):
     assert _rel(rhs.C_lim, rhs_s.C_lim) <= 1e-9
 
 
+@DETERMINISTIC
+@given(real=pencils(), t=st.floats(0.0, 50.0))
+def test_expm_action_agrees_with_dense(real, t):
+    # the Taylor kernel on its own, whatever its cost against the dense route
+    Xt = t * spla.solve(real.calE, real.calA)
+    B = spla.solve(real.calE, real.calB)
+    ref = spla.expm(Xt) @ B
+    R = matfun._expm_action(B, *matfun._taylor_plan(Xt))
+    assert np.linalg.norm(R - ref) <= 1e-12 * max(np.linalg.norm(ref), np.linalg.norm(B))
+
+
 @st.composite
 def factored_rhs(draw, N):
     """``G S G^T`` with a definite, a swap (band) or a ``diag(I, -I)``
