@@ -161,13 +161,14 @@ def _expm_action(B, S, mu, m, s):
     return F.T
 
 
-def expm(A, B=None):
+def expm(A, B=None, *, _plan=None):
     """Matrix exponential ``exp(A)`` (``scipy.linalg.expm``), or its action
     ``exp(A) @ B`` on a block ``B`` with typed errors.
 
     The action runs truncated Taylor steps on ``A - (trace(A) / N) I`` and
     forms no ``N x N`` exponential unless that is cheaper
-    (``EXPM_ACTION_MAX``, see the module docstring).
+    (``EXPM_ACTION_MAX``, see the module docstring).  ``_plan`` is the
+    ``_taylor_plan(A)`` of a caller that has already built it.
 
     Raises
     ------
@@ -190,7 +191,7 @@ def expm(A, B=None):
         if B is None:
             R = spla.expm(A)
         else:
-            S, mu, m, s = _taylor_plan(A)
+            S, mu, m, s = _taylor_plan(A) if _plan is None else _plan
             if m * s * B.shape[1] <= EXPM_ACTION_MAX * A.shape[0]:
                 R = _expm_action(B, S, mu, m, s)
             else:
@@ -398,9 +399,11 @@ def time_limited_rhs(real, window):
         if t == 0.0:
             return calB.copy(), calC.copy()
         Xt = X * t
-        cost = sum(k * np.prod(_taylor_plan(A)[2:]) for A, k in ((Xt, real.m), (Xt.T, real.p)))
+        plan_b, plan_c = _taylor_plan(Xt), _taylor_plan(Xt.T)
+        cost = real.m * np.prod(plan_b[2:]) + real.p * np.prod(plan_c[2:])
         if cost <= EXPM_ACTION_MAX * real.N:
-            return calE @ expm(Xt, EinvB), expm(Xt.T, calC.T).T
+            return (calE @ expm(Xt, EinvB, _plan=plan_b),
+                    expm(Xt.T, calC.T, _plan=plan_c).T)
         W = expm(Xt)
         return calE @ (W @ EinvB), calC @ W
 

@@ -406,6 +406,14 @@ def _common_pattern(mats):
     return pattern.indptr, pattern.indices, datas
 
 
+# bytes of a chunk of points in _shifted_solves: the stacked dense operators
+# and the one temporary of their size that building them takes.  All 200
+# points of a sweep up to n = 18, one point from n = 182 (at n = 300 a stack
+# of two was 8% slower than single solves; one BLAS thread, 2-core Xeon with
+# 2 MiB of L2 per core)
+_CHUNK_BYTES = 2**21
+
+
 def _shifted_solves(obj, points, dual=False):
     """The one solver of ``A(s) = s^2 M + s E + K`` (input map ``B_u``,
     output map ``C(s) = C_p + s C_v``) or ``A(s) = s calE - calA`` (``calB``,
@@ -418,43 +426,78 @@ def _shifted_solves(obj, points, dual=False):
 
     Sparse ``M, E, K``: the CSC pattern of ``M + E + K`` and the entries of
     each matrix on it are built once, so a point costs one vector
-    combination and one SuperLU factorization.  Dense: ``scipy.linalg.solve``
-    for ``X`` alone (it exploits banded structure), one LAPACK LU shared by
-    both solves when ``dual``.
+    combination and one SuperLU factorization.  Dense, ``X`` alone: the
+    operators of a chunk of points (one point, or as many as
+    ``_CHUNK_BYTES`` holds) are stacked and solved by one
+    ``scipy.linalg.solve`` call (which exploits banded structure); a chunk
+    with a singular point is solved again point by point.  Dense and
+    ``dual``: one LAPACK LU per point, shared by both solves.
     """
     first = isinstance(obj, FirstOrderRealization)
     B = (obj.calB if first else obj.B_u).astype(complex)
     sparse = not first and scipy.sparse.issparse(obj.M)
-    operator = ((lambda s: s * obj.calE - obj.calA) if first
-                else (lambda s: s * s * obj.M + s * obj.E + obj.K))
+
+    def operator(s, out=None):  # A(s) at a point or a (k, 1, 1) column of them
+        if first:
+            out = np.multiply(s, obj.calE, out=out)
+            out -= obj.calA
+        else:
+            out = np.multiply(s * s, obj.M, out=out)
+            out += s * obj.E
+            out += obj.K
+        return out
+
     if sparse:
         indptr, indices, (dM, dE, dK) = _common_pattern((obj.M, obj.E, obj.K))
         A = scipy.sparse.csc_array((dK.astype(complex), indices, indptr),
                                    shape=obj.M.shape)
-    for s in points:
-        D = None
-        try:
-            if sparse:
-                A.data = s * s * dM + s * dE + dK
-                lu = sla.splu(A)
-                X = lu.solve(B)
-                if dual:
-                    D = lu.solve(_output_map(obj, s).conj().T, trans="H")
-            elif dual:
-                lu = _getrf(operator(s))
-                if lu is None:
-                    raise spla.LinAlgError("exactly zero pivot")
-                X = spla.lu_solve(lu, B)
-                D = spla.lu_solve(lu, _output_map(obj, s).conj().T, trans=2)
+
+    def pointwise():
+        for s in points:
+            D = None
+            try:
+                if sparse:
+                    A.data = s * s * dM + s * dE + dK
+                    lu = sla.splu(A)
+                    X = lu.solve(B)
+                    if dual:
+                        D = lu.solve(_output_map(obj, s).conj().T, trans="H")
+                else:
+                    lu = _getrf(operator(s))
+                    if lu is None:
+                        raise spla.LinAlgError("exactly zero pivot")
+                    X = spla.lu_solve(lu, B)
+                    D = spla.lu_solve(lu, _output_map(obj, s).conj().T, trans=2)
+            except (spla.LinAlgError, RuntimeError):  # RuntimeError: SuperLU
+                yield None
+                continue
+            if not (np.all(np.isfinite(X)) and (D is None or np.all(np.isfinite(D)))):
+                yield None
             else:
-                X = spla.solve(operator(s), B)
-        except (spla.LinAlgError, RuntimeError):  # RuntimeError: SuperLU
-            yield None
-            continue
-        if not (np.all(np.isfinite(X)) and (D is None or np.all(np.isfinite(D)))):
-            yield None
-        else:
-            yield (X, D) if dual else X
+                yield (X, D) if dual else X
+
+    def stacked():
+        n = B.shape[0]
+        size = max(1, min(len(points), _CHUNK_BYTES // (32 * n * n)))
+        buffer = np.empty((size, n, n), dtype=complex)
+        for lo in range(0, len(points), size):
+            s = np.asarray(points[lo:lo + size], dtype=complex)
+            stack = operator(s[:, None, None], out=buffer[:s.size])
+            try:
+                Xs = spla.solve(stack, B)
+            except spla.LinAlgError:  # scipy's index of the singular slice is unreliable
+                Xs = np.array([_solve_or_nan(A_s, B) for A_s in stack])
+            for X, ok in zip(Xs, np.isfinite(Xs).all(axis=(1, 2))):
+                yield X if ok else None
+
+    return pointwise() if sparse or dual else stacked()
+
+
+def _solve_or_nan(A, B):
+    try:
+        return spla.solve(A, B)
+    except spla.LinAlgError:
+        return np.full(B.shape, np.nan, dtype=complex)
 
 
 def _output_map(obj, s):
@@ -492,6 +535,11 @@ def _transfer(obj, pts):
 
 def eval_transfer(obj, s, skip_poles=False):
     """Evaluate the transfer function at one or several complex points.
+
+    A sparse model factors ``s^2 M + s E + K`` with SuperLU at each point.
+    A dense model, or a realization, stacks its operators for a chunk of
+    points and solves the chunk in one LAPACK call; a chunk with a pole in
+    it is solved again point by point, so the pole alone fails.
 
     A :class:`SecondOrderSystem` remembers its latest set of points: asked
     again for exactly the same points, it returns a copy of the stored
@@ -658,9 +706,15 @@ def simulate(obj, signal, t, return_states=False):
     which is the trapezoidal rule on any first companion form, with one
     ``n x n`` factorization instead of one of size ``2n``.  Sparse ``M``,
     ``E``, ``K`` stay sparse: one SuperLU factorization of ``S`` and one
-    CSR product with ``[-h K, M - h/2 E - h^2/4 K]`` per step; dense ones
-    use LAPACK ``getrf``/``getrs``.  A :class:`FirstOrderRealization` is
-    stepped on its pencil with ``calE - h/2 calA``.
+    CSR product with ``[-h K, M - h/2 E - h^2/4 K]`` per step.  A
+    :class:`FirstOrderRealization` is stepped on its pencil with
+    ``calE - h/2 calA``.  A dense model (either kind) solves its LAPACK
+    ``getrf`` once for the step matrix ``Phi`` of ``[x; v]`` (or of ``q``)
+    and the input map, so a step costs one product with ``Phi``: with
+    ``P = S^{-1} [-h K, M - h/2 E - h^2/4 K]``,
+    ``Phi = [[I, h/2 I] + h/2 P; P]``, and for a realization
+    ``Phi = (calE - h/2 calA)^{-1} (calE + h/2 calA)``.  It stores every
+    state of the run, ``len(t) x 2n`` (or ``len(t) x N``) floats.
 
     A :class:`SecondOrderSystem` remembers its latest outputs: asked again
     for the same grid and input samples, it returns a copy of the stored
@@ -701,14 +755,28 @@ def simulate(obj, signal, t, return_states=False):
     return Trajectory(times=t, outputs=Y.copy())
 
 
+# most states for which a dense run steps with the precomputed step matrix:
+# past it, one product with the dense N x N matrix took longer than the
+# product and the LU solves it replaces (dense chains with n = 130 and more,
+# where subnormal entries slow the products; one BLAS thread, 2-core Xeon)
+_STEP_MATRIX_MAX_N = 200
+
+
 def _trapezoid(obj, t, U, return_states=False):
     """The trapezoidal run of :func:`simulate` on a checked grid ``t`` with
-    input samples ``U``."""
+    input samples ``U``.
+
+    A dense model with at most ``_STEP_MATRIX_MAX_N`` states gets the step
+    matrix ``Phi`` and the input map ``Gamma`` of
+    ``q_1 = Phi q_0 + Gamma (u_0 + u_1)`` from the one ``getrf`` of the run,
+    so each step is one row product ``q Phi^T``; the outputs are ``Q C^T``
+    for the stored states ``Q``.  Sparse and larger dense models solve with
+    their factorization at every step (:func:`_lu_steps`).
+    """
     h = t[1] - t[0]
     hh = 0.5 * h
     second_order = isinstance(obj, SecondOrderSystem)
     if second_order:
-        n = obj.n
         hhK = hh * hh * obj.K
         lhs = obj.M + hh * obj.E + hhK
         blocks = [-h * obj.K, obj.M - hh * obj.E - hhK]
@@ -734,9 +802,39 @@ def _trapezoid(obj, t, U, return_states=False):
     if solve is None:
         raise NonFiniteState(f"trapezoidal step matrix is singular: s={2.0 / h:.6g} "
                              "is a pole")
-
     Usum = U[:-1] + U[1:]
+    if scipy.sparse.issparse(lhs) or rhs_mat.shape[1] > _STEP_MATRIX_MAX_N:
+        return _lu_steps(solve, rhs_mat, hB, C, t, Usum, second_order, return_states)
+
+    P, G = np.hsplit(solve(np.hstack([rhs_mat, hB])), [rhs_mat.shape[1]])
+    if second_order:  # P q + G (u_0 + u_1) is the new velocity
+        I = np.eye(obj.n)
+        Phi = np.vstack([np.hstack([I, hh * I]) + hh * P, P])
+        Gamma = np.vstack([hh * G, G])
+    else:
+        Phi, Gamma = P, G
+    Q = np.zeros((t.size, Phi.shape[0]))
+    # a blowing-up state overflows quietly; the first non-finite row is
+    # reported as a typed error instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q[1:] = Usum @ Gamma.T
+        PhiT, q = Phi.T, Q[0]
+        for row in Q[1:]:
+            row += q @ PhiT
+            q = row
+        Y = Q @ C.T
+    finite = np.isfinite(Q).all(axis=1)
+    if not finite.all():
+        raise _diverged(t[np.argmin(finite)])
+    return Trajectory(times=t, outputs=Y, states=Q if return_states else None)
+
+
+def _lu_steps(solve, rhs_mat, hB, C, t, Usum, second_order, return_states):
+    """The trapezoidal run with one ``solve`` by the factorization of the
+    step matrix and one product with ``rhs_mat`` per step."""
+    hh = 0.5 * (t[1] - t[0])
     q = np.zeros(rhs_mat.shape[1])
+    n = q.size // 2
     Y = np.empty((t.size, C.shape[0]))
     Y[0] = C @ q
     states = np.empty((t.size, q.size)) if return_states else None
@@ -754,12 +852,15 @@ def _trapezoid(obj, t, U, return_states=False):
             else:
                 q = z
             if not np.isfinite(q).all():
-                raise NonFiniteState(
-                    f"state became non-finite at t={t[kk + 1]:.6g}")
+                raise _diverged(t[kk + 1])
             Y[kk + 1] = C @ q
             if return_states:
                 states[kk + 1] = q
     return Trajectory(times=t, outputs=Y, states=states)
+
+
+def _diverged(tk):
+    return NonFiniteState(f"state became non-finite at t={tk:.6g}")
 
 
 def check_stability(obj, guard=5000):

@@ -413,7 +413,9 @@ def test_time_limited_rhs_short_window_forms_no_exponential(chain300, monkeypatc
     X = np.linalg.solve(real.calE, real.calA)
     W = spla.expm(20.0 * X)
     monkeypatch.setattr(spla, "expm", _no_dense_expm)
+    plans = count_calls(monkeypatch, matfun, "_taylor_plan")
     rhs = slt.time_limited_rhs(real, win)
+    assert len(plans) == 2  # one per side of the propagated end, none repeated
     ref_B = real.calE @ (W @ np.linalg.solve(real.calE, real.calB))
     assert np.linalg.norm(rhs.B_tf - ref_B) <= 1e-12 * np.linalg.norm(ref_B)
     ref_C = real.calC @ W

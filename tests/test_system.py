@@ -1,5 +1,6 @@
 """Second-order containers, realizations, simulation and stability checks."""
 
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -341,6 +342,74 @@ def test_shifted_solves_first_order_dual():
         assert list(_shifted_solves(osc, [1j], dual=True)) == [None]
 
 
+def _with_unit_oscillator(rng, n):
+    """A random dense model with a decoupled undamped unit mass on a unit
+    spring added, so ``s = 1j`` is an exact pole."""
+    base = random_second_order(rng, n - 1, m=2, p=3)
+
+    def grow(A, d):
+        return spla.block_diag(A, [[d]])
+
+    return slt.make_second_order(grow(base.M, 1.0), grow(base.E, 0.0), grow(base.K, 1.0),
+                                 np.vstack([base.B_u, np.ones((1, 2))]),
+                                 np.hstack([base.C_p, np.ones((3, 1))]),
+                                 np.hstack([base.C_v, np.zeros((3, 1))]))
+
+
+@pytest.mark.parametrize("form", ["second_order", "first_order"])
+def test_stacked_sweep_matches_pointwise_solves(monkeypatch, form):
+    # more points than one chunk holds, with the exact pole s = 1j inside
+    # the second chunk: only that point fails, and the error names it
+    rng = np.random.default_rng(21)
+    sys = _with_unit_oscillator(rng, 30)
+    if form == "second_order":
+        obj, B = sys, sys.B_u
+
+        def operator(s):
+            return s * s * sys.M + s * sys.E + sys.K
+    else:
+        obj = slt.first_companion(sys)
+        B = obj.calB
+
+        def operator(s):
+            return s * obj.calE - obj.calA
+    size = system._CHUNK_BYTES // (32 * B.shape[0] ** 2)  # the stack and a temporary
+    pts = 1j * np.geomspace(0.01, 50.0, 2 * size + 3)
+    pole = size + 2
+    pts[pole] = 1j
+    solves = count_calls(monkeypatch, spla, "solve")
+    got = list(_shifted_solves(obj, pts))
+    assert sum(np.ndim(A) == 3 for A in solves) == 3  # one per chunk
+    for i, (s, X) in enumerate(zip(pts, got)):
+        if i == pole:
+            assert X is None
+        else:
+            assert_allclose(X, np.linalg.solve(operator(s), B), rtol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        H = slt.eval_transfer(obj, pts, skip_poles=True)
+        with pytest.raises(errors.SingularAtFrequency, match=re.escape(f"s={1j} ")):
+            slt.eval_transfer(obj, pts)
+    assert np.flatnonzero(np.isnan(H).all(axis=(1, 2))).tolist() == [pole]
+    assert np.all(np.isfinite(np.delete(H, pole, axis=0)))
+
+
+def test_dense_sweep_memory_is_bounded_by_the_chunk():
+    # n = 300: a stack of all 200 operators would take 288 MB
+    chain = slt.generate_chain(300)
+    sys = _dense(chain)
+    pts = 1j * np.logspace(-2, 1, 200)
+    tracemalloc.start()
+    try:
+        H = slt.eval_transfer(sys, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * system._CHUNK_BYTES
+    assert_allclose(H, slt.eval_transfer(chain, pts), rtol=1e-10,
+                    atol=1e-14 * np.max(np.abs(H)))
+
+
 def test_simulate_scalar_step():
     # x' = -x + u with a unit step: y(t) = 1 - exp(-t).  The trapezoidal rule
     # is second order, so halving the step shrinks the error about 4x.
@@ -418,6 +487,26 @@ def test_simulate_second_order_divergence():
                     slt.simulate(obj, slt.StepSignal(), np.arange(0.0, 8000.0, 0.5))
                 messages.append(str(exc.value))
         assert messages == 3 * [f"state became non-finite at t={when}"]
+
+
+def test_dense_step_matrix_matches_sparse_and_companion():
+    # the dense step matrix, second-order and first-order, against the
+    # SuperLU run of the same model, with and without the states
+    rng = np.random.default_rng(8)
+    t = np.linspace(0.0, 10.0, 401)
+    dense, sparse = _with_csc(random_second_order(rng, 6, m=2, p=3))
+    sig = slt.CustomSignal(rng.standard_normal((t.size, dense.m)))
+    ref = slt.simulate(sparse, sig, t, return_states=True)
+    for obj in (dense, slt.first_companion(dense)):
+        for states in (False, True):
+            got = slt.simulate(obj, sig, t, return_states=states)
+            assert_allclose(got.outputs, ref.outputs, rtol=0,
+                            atol=1e-12 * np.max(np.abs(ref.outputs)))
+            if states:
+                assert_allclose(got.states, ref.states, rtol=0,
+                                atol=1e-12 * np.max(np.abs(ref.states)))
+            else:
+                assert got.states is None
 
 
 def test_simulate_singular_step_matrix():
