@@ -406,11 +406,12 @@ def _common_pattern(mats):
     return pattern.indptr, pattern.indices, datas
 
 
-# bytes of a chunk of points in _shifted_solves: the stacked dense operators
-# and the one temporary of their size that building them takes.  All 200
-# points of a sweep up to n = 18, one point from n = 182 (at n = 300 a stack
-# of two was 8% slower than single solves; one BLAS thread, 2-core Xeon with
-# 2 MiB of L2 per core)
+# bytes of the working block of the dense response paths: in
+# _shifted_solves the stacked operators of a chunk of points and the one
+# temporary of their size that building them takes (all 200 points of a
+# sweep up to n = 18, one point from n = 182); in _trapezoid a block of
+# states.  It bounds memory: stacks of two and single solves took the same
+# time from n = 150 to 300 (one BLAS thread, 2-core Xeon)
 _CHUNK_BYTES = 2**21
 
 
@@ -422,20 +423,23 @@ def _shifted_solves(obj, points, dual=False):
     Yields, per point ``s``, ``X = A(s)^{-1} B``, or the pair ``(X, D)``
     with the dual directions ``D = A(s)^{-H} C(s)^H`` when ``dual``.  Yields
     ``None`` where ``A(s)`` is singular or a solution is not finite; callers
-    raise their own typed error, and nothing warns.
+    raise their own typed error.
 
     Sparse ``M, E, K``: the CSC pattern of ``M + E + K`` and the entries of
     each matrix on it are built once, so a point costs one vector
     combination and one SuperLU factorization.  Dense, ``X`` alone: the
-    operators of a chunk of points (one point, or as many as
-    ``_CHUNK_BYTES`` holds) are stacked and solved by one
-    ``scipy.linalg.solve`` call (which exploits banded structure); a chunk
-    with a singular point is solved again point by point.  Dense and
+    operators of a chunk of as many points as ``_CHUNK_BYTES`` holds are
+    stacked and solved by one ``numpy.linalg.solve`` call, which runs LAPACK
+    ``gesv`` on each slice of the stack and, unlike ``scipy.linalg.solve``,
+    neither estimates the condition nor looks for banded structure; a chunk
+    with a singular point is solved again point by point, by the same
+    ``gesv``, so a point's ``X`` does not depend on its chunk.  Dense and
     ``dual``: one LAPACK LU per point, shared by both solves.
     """
     first = isinstance(obj, FirstOrderRealization)
     B = (obj.calB if first else obj.B_u).astype(complex)
     sparse = not first and scipy.sparse.issparse(obj.M)
+    size = max(1, _CHUNK_BYTES // (32 * B.shape[0] ** 2))
 
     def operator(s, out=None):  # A(s) at a point or a (k, 1, 1) column of them
         if first:
@@ -477,27 +481,25 @@ def _shifted_solves(obj, points, dual=False):
                 yield (X, D) if dual else X
 
     def stacked():
-        n = B.shape[0]
-        size = max(1, min(len(points), _CHUNK_BYTES // (32 * n * n)))
-        buffer = np.empty((size, n, n), dtype=complex)
+        buffer = np.empty((min(size, len(points)),) + 2 * B.shape[:1], dtype=complex)
         for lo in range(0, len(points), size):
             s = np.asarray(points[lo:lo + size], dtype=complex)
             stack = operator(s[:, None, None], out=buffer[:s.size])
             try:
-                Xs = spla.solve(stack, B)
-            except spla.LinAlgError:  # scipy's index of the singular slice is unreliable
-                Xs = np.array([_solve_or_nan(A_s, B) for A_s in stack])
-            for X, ok in zip(Xs, np.isfinite(Xs).all(axis=(1, 2))):
-                yield X if ok else None
+                Xs = np.linalg.solve(stack, B)
+            except np.linalg.LinAlgError:  # it does not say which point
+                Xs = [_gesv_or_none(A_s, B) for A_s in stack]
+            for X in Xs:
+                yield X if X is not None and np.isfinite(X).all() else None
 
     return pointwise() if sparse or dual else stacked()
 
 
-def _solve_or_nan(A, B):
+def _gesv_or_none(A, B):
     try:
-        return spla.solve(A, B)
-    except spla.LinAlgError:
-        return np.full(B.shape, np.nan, dtype=complex)
+        return np.linalg.solve(A, B)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _output_map(obj, s):
@@ -538,8 +540,9 @@ def eval_transfer(obj, s, skip_poles=False):
 
     A sparse model factors ``s^2 M + s E + K`` with SuperLU at each point.
     A dense model, or a realization, stacks its operators for a chunk of
-    points and solves the chunk in one LAPACK call; a chunk with a pole in
-    it is solved again point by point, so the pole alone fails.
+    points and solves the chunk with one ``numpy.linalg.solve`` call; a
+    chunk with a pole in it is solved again point by point, so the pole
+    alone fails.
 
     A :class:`SecondOrderSystem` remembers its latest set of points: asked
     again for exactly the same points, it returns a copy of the stored
@@ -708,13 +711,12 @@ def simulate(obj, signal, t, return_states=False):
     ``E``, ``K`` stay sparse: one SuperLU factorization of ``S`` and one
     CSR product with ``[-h K, M - h/2 E - h^2/4 K]`` per step.  A
     :class:`FirstOrderRealization` is stepped on its pencil with
-    ``calE - h/2 calA``.  A dense model (either kind) solves its LAPACK
-    ``getrf`` once for the step matrix ``Phi`` of ``[x; v]`` (or of ``q``)
-    and the input map, so a step costs one product with ``Phi``: with
-    ``P = S^{-1} [-h K, M - h/2 E - h^2/4 K]``,
+    ``calE - h/2 calA``.  A dense model (either kind) solves with its
+    LAPACK ``getrf`` once, for the step matrix ``Phi`` of ``[x; v]`` (or of
+    ``q``) and the input map, so a step costs one product with ``Phi``:
+    with ``P = S^{-1} [-h K, M - h/2 E - h^2/4 K]``,
     ``Phi = [[I, h/2 I] + h/2 P; P]``, and for a realization
-    ``Phi = (calE - h/2 calA)^{-1} (calE + h/2 calA)``.  It stores every
-    state of the run, ``len(t) x 2n`` (or ``len(t) x N``) floats.
+    ``Phi = (calE - h/2 calA)^{-1} (calE + h/2 calA)``.
 
     A :class:`SecondOrderSystem` remembers its latest outputs: asked again
     for the same grid and input samples, it returns a copy of the stored
@@ -755,23 +757,17 @@ def simulate(obj, signal, t, return_states=False):
     return Trajectory(times=t, outputs=Y.copy())
 
 
-# most states for which a dense run steps with the precomputed step matrix:
-# past it, one product with the dense N x N matrix took longer than the
-# product and the LU solves it replaces (dense chains with n = 130 and more,
-# where subnormal entries slow the products; one BLAS thread, 2-core Xeon)
-_STEP_MATRIX_MAX_N = 200
-
-
 def _trapezoid(obj, t, U, return_states=False):
     """The trapezoidal run of :func:`simulate` on a checked grid ``t`` with
     input samples ``U``.
 
-    A dense model with at most ``_STEP_MATRIX_MAX_N`` states gets the step
-    matrix ``Phi`` and the input map ``Gamma`` of
-    ``q_1 = Phi q_0 + Gamma (u_0 + u_1)`` from the one ``getrf`` of the run,
-    so each step is one row product ``q Phi^T``; the outputs are ``Q C^T``
-    for the stored states ``Q``.  Sparse and larger dense models solve with
-    their factorization at every step (:func:`_lu_steps`).
+    A dense model gets the step matrix ``Phi`` and the input map ``Gamma``
+    of ``q_1 = Phi q_0 + Gamma (u_0 + u_1)`` from the one ``getrf`` of the
+    run, so each step is one row product ``q Phi^T``.  The states are
+    stepped in blocks of ``_CHUNK_BYTES``; the outputs of a block are one
+    product with ``C^T``, and only the last state is carried to the next
+    block unless every state is returned.  Sparse models solve with their
+    SuperLU factorization at every step (:func:`_lu_steps`).
     """
     h = t[1] - t[0]
     hh = 0.5 * h
@@ -803,7 +799,7 @@ def _trapezoid(obj, t, U, return_states=False):
         raise NonFiniteState(f"trapezoidal step matrix is singular: s={2.0 / h:.6g} "
                              "is a pole")
     Usum = U[:-1] + U[1:]
-    if scipy.sparse.issparse(lhs) or rhs_mat.shape[1] > _STEP_MATRIX_MAX_N:
+    if scipy.sparse.issparse(lhs):
         return _lu_steps(solve, rhs_mat, hB, C, t, Usum, second_order, return_states)
 
     P, G = np.hsplit(solve(np.hstack([rhs_mat, hB])), [rhs_mat.shape[1]])
@@ -813,25 +809,31 @@ def _trapezoid(obj, t, U, return_states=False):
         Gamma = np.vstack([hh * G, G])
     else:
         Phi, Gamma = P, G
-    Q = np.zeros((t.size, Phi.shape[0]))
-    # a blowing-up state overflows quietly; the first non-finite row is
+    PhiT, q = Phi.T, np.zeros(Phi.shape[0])
+    rows = max(1, _CHUNK_BYTES // (8 * q.size))
+    Y = np.zeros((t.size, C.shape[0]))
+    states = np.zeros((t.size, q.size)) if return_states else None
+    # a blowing-up state overflows quietly; the first non-finite state is
     # reported as a typed error instead
     with np.errstate(over="ignore", invalid="ignore"):
-        Q[1:] = Usum @ Gamma.T
-        PhiT, q = Phi.T, Q[0]
-        for row in Q[1:]:
-            row += q @ PhiT
-            q = row
-        Y = Q @ C.T
-    finite = np.isfinite(Q).all(axis=1)
-    if not finite.all():
-        raise _diverged(t[np.argmin(finite)])
-    return Trajectory(times=t, outputs=Y, states=Q if return_states else None)
+        for lo in range(1, t.size, rows):
+            Q = Usum[lo - 1:lo - 1 + rows] @ Gamma.T
+            for row in Q:
+                row += q @ PhiT
+                q = row
+            finite = np.isfinite(Q).all(axis=1)
+            if not finite.all():
+                raise _diverged(t[lo + np.argmin(finite)])
+            Y[lo:lo + rows] = Q @ C.T
+            if return_states:
+                states[lo:lo + rows] = Q
+    return Trajectory(times=t, outputs=Y, states=states)
 
 
 def _lu_steps(solve, rhs_mat, hB, C, t, Usum, second_order, return_states):
-    """The trapezoidal run with one ``solve`` by the factorization of the
-    step matrix and one product with ``rhs_mat`` per step."""
+    """The trapezoidal run of a sparse model, with one ``solve`` by the
+    factorization of the step matrix and one product with ``rhs_mat`` per
+    step."""
     hh = 0.5 * (t[1] - t[0])
     q = np.zeros(rhs_mat.shape[1])
     n = q.size // 2

@@ -377,9 +377,11 @@ def test_stacked_sweep_matches_pointwise_solves(monkeypatch, form):
     pts = 1j * np.geomspace(0.01, 50.0, 2 * size + 3)
     pole = size + 2
     pts[pole] = 1j
-    solves = count_calls(monkeypatch, spla, "solve")
+    solves = count_calls(monkeypatch, np.linalg, "solve")
     got = list(_shifted_solves(obj, pts))
-    assert sum(np.ndim(A) == 3 for A in solves) == 3  # one per chunk
+    # one call per chunk, then the chunk with the pole point by point
+    assert [len(A) for A in solves if np.ndim(A) == 3] == [size, size, 3]
+    assert sum(np.ndim(A) == 2 for A in solves) == size
     for i, (s, X) in enumerate(zip(pts, got)):
         if i == pole:
             assert X is None
@@ -394,11 +396,13 @@ def test_stacked_sweep_matches_pointwise_solves(monkeypatch, form):
     assert np.all(np.isfinite(np.delete(H, pole, axis=0)))
 
 
-def test_dense_sweep_memory_is_bounded_by_the_chunk():
-    # n = 300: a stack of all 200 operators would take 288 MB
+def test_dense_sweep_memory_is_bounded_by_the_chunk(monkeypatch):
+    # n = 300: a stack of all 200 operators would take 288 MB; a chunk holds
+    # one point
     chain = slt.generate_chain(300)
     sys = _dense(chain)
     pts = 1j * np.logspace(-2, 1, 200)
+    stacks = count_calls(monkeypatch, np.linalg, "solve")
     tracemalloc.start()
     try:
         H = slt.eval_transfer(sys, pts)
@@ -406,6 +410,7 @@ def test_dense_sweep_memory_is_bounded_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 2 * system._CHUNK_BYTES
+    assert [np.shape(A) for A in stacks] == 200 * [(1, 300, 300)]
     assert_allclose(H, slt.eval_transfer(chain, pts), rtol=1e-10,
                     atol=1e-14 * np.max(np.abs(H)))
 
@@ -489,14 +494,18 @@ def test_simulate_second_order_divergence():
         assert messages == 3 * [f"state became non-finite at t={when}"]
 
 
-def test_dense_step_matrix_matches_sparse_and_companion():
+@pytest.mark.parametrize("rows", [None, 7])
+def test_dense_step_matrix_matches_sparse_and_companion(monkeypatch, rows):
     # the dense step matrix, second-order and first-order, against the
-    # SuperLU run of the same model, with and without the states
+    # SuperLU run of the same model, with and without the states; in one
+    # block of states, and in blocks of 7 rows
     rng = np.random.default_rng(8)
     t = np.linspace(0.0, 10.0, 401)
     dense, sparse = _with_csc(random_second_order(rng, 6, m=2, p=3))
     sig = slt.CustomSignal(rng.standard_normal((t.size, dense.m)))
     ref = slt.simulate(sparse, sig, t, return_states=True)
+    if rows:
+        monkeypatch.setattr(system, "_CHUNK_BYTES", 8 * 2 * dense.n * rows)
     for obj in (dense, slt.first_companion(dense)):
         for states in (False, True):
             got = slt.simulate(obj, sig, t, return_states=states)
@@ -507,6 +516,36 @@ def test_dense_step_matrix_matches_sparse_and_companion():
                                 atol=1e-12 * np.max(np.abs(ref.states)))
             else:
                 assert got.states is None
+
+
+def test_dense_divergence_is_found_in_any_block(monkeypatch):
+    # the step at which the negative-stiffness model of the divergence test
+    # overflows, with blocks of states that end before, at and after it
+    sys = slt.make_second_order(np.eye(2), 0.1 * np.eye(2), -np.eye(2),
+                                np.ones((2, 1)), np.ones((1, 2)), np.ones((1, 2)))
+    t = np.arange(0.0, 8000.0, 0.5)
+    for rows in (1, 733, 1465, 1466, 5000):
+        monkeypatch.setattr(system, "_CHUNK_BYTES", 8 * 4 * rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.NonFiniteState, match=r"t=733$"):
+                slt.simulate(sys, slt.StepSignal(), t)
+
+
+def test_dense_simulation_memory_without_states():
+    # 100,000 steps of a dense model with 80 states: the states would take
+    # 64 MB, the outputs 2.4 MB and the inputs 0.8 MB
+    sys = _dense(slt.generate_chain(40))
+    t = np.linspace(0.0, 1000.0, 100_001)
+    tracemalloc.start()
+    try:
+        Y = slt.simulate(sys, slt.StepSignal(), t).outputs
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * system._CHUNK_BYTES + 8 * t.size * 8
+    ref = slt.simulate(slt.generate_chain(40), slt.StepSignal(), t[:2001]).outputs
+    assert_allclose(Y[:2001], ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
 def test_simulate_singular_step_matrix():
