@@ -22,13 +22,10 @@ formula   singular values of               projectors
 ========= ================================ =========================================
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as spla
-import scipy.sparse
-import scipy.sparse.linalg as sla
 
 from .errors import (
     EmptySpectrum,
@@ -38,21 +35,9 @@ from .errors import (
     SingularS,
 )
 from .lyapunov import IndefiniteRhs, solve_lyap_sign_dual
-from .system import FirstOrderRealization, SecondOrderSystem, make_second_order
+from .system import FirstOrderRealization, SecondOrderSystem, _lu, make_second_order
 
 FORMULAS = ("v", "fv", "vpm", "pm", "pv", "vp", "p", "so")
-
-# characteristic-value kind driving order selection, per formula
-SELECTION_KIND = {
-    "v": "velocity",
-    "fv": "position",
-    "vpm": "velocity_position",
-    "pm": "position",
-    "pv": "position_velocity",
-    "vp": "velocity_position",
-    "p": "position",
-    "so": "position",
-}
 
 
 @dataclass
@@ -130,8 +115,8 @@ def second_order_projectors(parts, J, M, formula, order_tol=1e-4, fixed_r=None):
         :class:`~solimbt.gramians.PartitionedFactors`.
     J, M
         Coupling block of the companion form the Gramians belong to, and the
-        mass matrix (dense or sparse; ``vpm``/``pm`` solve with ``M^T``,
-        through SuperLU when ``M`` is sparse).
+        mass matrix (dense or sparse; ``vpm``/``pm`` solve with ``M^T``
+        through one LU factorization, SuperLU when ``M`` is sparse).
     formula
         One of :data:`FORMULAS`.
 
@@ -147,20 +132,9 @@ def second_order_projectors(parts, J, M, formula, order_tol=1e-4, fixed_r=None):
     Rp, Rv, Lp, Lv = parts.R_p, parts.R_v, parts.L_p, parts.L_v
 
     def minvt(X):
-        # scipy's structured solve paths hand back inf/nan for an exactly
-        # singular M instead of raising
-        with np.errstate(invalid="ignore", divide="ignore"), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore", spla.LinAlgWarning)
-            try:
-                if scipy.sparse.issparse(M):
-                    out = sla.splu(M).solve(X, trans="T")
-                else:
-                    out = spla.solve(M.T, X)
-            except (spla.LinAlgError, RuntimeError) as exc:  # RuntimeError: SuperLU
-                raise SingularM(
-                    "mass matrix solve failed in projector assembly") from exc
-        if not np.all(np.isfinite(out)):
+        solve = _lu(M)
+        out = None if solve is None else solve(X, trans="T")
+        if out is None or not np.all(np.isfinite(out)):
             raise SingularM("mass matrix solve failed in projector assembly")
         return out
 

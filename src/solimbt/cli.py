@@ -79,6 +79,12 @@ def _load_job(path):
     for key in ("input", "output", "method"):
         if key not in job:
             raise InvalidParams(f"missing config key {key!r}")
+    for key in ("band", "window", "order", "hybrid"):
+        if not isinstance(job.get(key, {}), dict):
+            raise InvalidParams(f"config key {key!r} must be a JSON object")
+    for key in ("input", "output", "name"):
+        if not isinstance(job.get(key, ""), str):
+            raise InvalidParams(f"config key {key!r} must be a string")
 
     method = job["method"]
     band = window = None
@@ -123,7 +129,7 @@ def _load_job(path):
         gamma=job.get("gamma"),
         alpha=float(job.get("alpha", 0.0)),
         solver=job.get("solver", "sign"),
-        modified=bool(job.get("modified", False)),
+        modified=job.get("modified", False),
         hybrid=hybrid)
     config.validate()
     return job, config

@@ -58,12 +58,6 @@ class CharacteristicValues:
     values: np.ndarray
 
 
-# Products whose singular values generalize Hankel singular values to the
-# second-order setting: factor of P against factor of Q, paired through J
-# (position observability block) or M (velocity observability block).
-KINDS = ("position", "position_velocity", "velocity_position", "velocity")
-
-
 def _solve_pair(real, make_rhs, flavor, band=None, window=None, solver="sign"):
     """Solve both Lyapunov equations.  ``make_rhs(real)`` returns the
     factored ``(rhs_c, rhs_o)`` of a realization: the full one for the sign
@@ -126,7 +120,10 @@ def time_limited_gramians(real, window, solver="sign"):
                        "window", window=window, solver=solver)
 
 
-def definite_surrogate(rhs, cutoff=1e-12):
+SURROGATE_CUTOFF = 1e-12  # relative size of a core eigenvalue taken as zero
+
+
+def definite_surrogate(rhs):
     """Definite replacement of an indefinite factored right-hand side.
 
     Eigendecomposes ``G S G^T`` through its thin factor, keeps the
@@ -139,7 +136,7 @@ def definite_surrogate(rhs, cutoff=1e-12):
     core = 0.5 * (core + core.T)
     eta, V = spla.eigh(core)
     emax = np.max(np.abs(eta)) if eta.size else 0.0
-    keep = np.abs(eta) > cutoff * emax
+    keep = np.abs(eta) > SURROGATE_CUTOFF * emax
     return (Q @ V[:, keep]) * np.sqrt(np.abs(eta[keep]))
 
 

@@ -32,7 +32,7 @@ from .errors import (
     UnstablePencil,
     UnstableProjection,
 )
-from .system import FirstOrderRealization, _shifted_solves
+from .system import FirstOrderRealization, _dual_directions
 
 # Fixed settings of the sign iteration: it stops once the distance
 # ``||X_k + I||_F / sqrt(N)`` of the iterate from its limit ``-I`` is at
@@ -41,6 +41,8 @@ from .system import FirstOrderRealization, _shifted_solves
 SIGN_TOL = 1e-12
 SIGN_MAXITER = 100
 COMPRESS_TOL = 1e-14
+
+ORACLE_MAX_DIM = 60  # the oracle's Kronecker operator has N^4 entries
 
 
 @dataclass
@@ -205,7 +207,7 @@ def solve_lyap_sign_dual(calE, calA, rhs_c, rhs_o):
     return GramianFactor(Z1, Yc), GramianFactor(Z2, Yo), info
 
 
-def solve_lyap_dense_oracle(calA, calE, rhs, max_dim=60):
+def solve_lyap_dense_oracle(calA, calE, rhs):
     """Dense Kronecker-product reference solver.
 
     Solves ``calA X calE^T + calE X calA^T + rhs = 0`` by forming the
@@ -215,7 +217,7 @@ def solve_lyap_dense_oracle(calA, calE, rhs, max_dim=60):
     Raises
     ------
     TooLarge
-        For ``N > max_dim``.
+        For ``N > ORACLE_MAX_DIM``.
     SingularOperator
         If the operator is singular (pencil eigenvalues mirrored across the
         imaginary axis).
@@ -224,8 +226,8 @@ def solve_lyap_dense_oracle(calA, calE, rhs, max_dim=60):
     E = np.asarray(calE, dtype=float)
     R = np.asarray(rhs, dtype=float)
     N = A.shape[0]
-    if N > max_dim:
-        raise TooLarge(f"dense oracle limited to N <= {max_dim}, got {N}")
+    if N > ORACLE_MAX_DIM:
+        raise TooLarge(f"dense oracle limited to N <= {ORACLE_MAX_DIM}, got {N}")
     if A.shape != (N, N) or E.shape != (N, N) or R.shape != (N, N):
         raise DimensionMismatch("oracle operands must be square and equal-sized")
     L = np.kron(E, A) + np.kron(A, E)
@@ -299,12 +301,8 @@ def solve_lyap_projection_dual(real, make_rhs, band=None, window=None,
     raw = []
     trace_history = []
     for start in range(0, shifts.size, batch):
-        points = 1j * shifts[start:start + batch]
-        for s, XD in zip(points, _shifted_solves(real, points, dual=True)):
-            if XD is None:
-                raise UnstablePencil(f"shift {s} is (near) a pole")
-            for blk in XD:
-                raw += [blk.real, blk.imag]
+        raw.append(_dual_directions(real, 1j * shifts[start:start + batch],
+                                    UnstablePencil))
         V = spla.orth(np.hstack(raw))
         small = FirstOrderRealization(V.T @ real.calE @ V, V.T @ real.calA @ V,
                                       V.T @ real.calB, real.calC @ V)

@@ -58,6 +58,8 @@ _THETA = {20: 1.44, 25: 2.43, 30: 3.54, 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 
 # and 13 N (N = 600); past it the action's cost grows linearly in t ||A||.
 EXPM_ACTION_MAX = 8
 
+BRANCH_TOL = 1e-12  # relative distance to (-inf, 0] that counts as on it
+
 
 @dataclass(frozen=True)
 class FrequencyBand:
@@ -201,18 +203,18 @@ def expm(A, B=None, *, _plan=None):
     return R
 
 
-def _check_branch_cut(lam, branch_tol=1e-12):
+def _check_branch_cut(lam):
     """Raise ``BranchCutViolation`` if an eigenvalue ``lam`` of a logarithm's
-    argument lies on ``(-inf, 0]`` within ``branch_tol``."""
+    argument lies on ``(-inf, 0]`` within ``BRANCH_TOL``."""
     scale = np.max(np.abs(lam))
     if scale == 0.0:
         raise BranchCutViolation("zero matrix has no logarithm")
-    on_cut = (np.abs(lam.imag) <= branch_tol * np.abs(lam)) & (lam.real <= 0.0)
-    if np.any(on_cut | (np.abs(lam) <= branch_tol * scale)):
+    on_cut = (np.abs(lam.imag) <= BRANCH_TOL * np.abs(lam)) & (lam.real <= 0.0)
+    if np.any(on_cut | (np.abs(lam) <= BRANCH_TOL * scale)):
         raise BranchCutViolation("eigenvalue on the closed negative real axis")
 
 
-def logm_principal(A, branch_tol=1e-12):
+def logm_principal(A):
     """Principal matrix logarithm (inverse scaling and squaring).
 
     Checks the spectrum first and refuses arguments with an eigenvalue on the
@@ -231,7 +233,7 @@ def logm_principal(A, branch_tol=1e-12):
     Raises
     ------
     BranchCutViolation
-        If an eigenvalue lies on ``(-inf, 0]`` within ``branch_tol``.
+        If an eigenvalue lies on ``(-inf, 0]`` within ``BRANCH_TOL``.
     NonFinite
         If the input or the computed logarithm has non-finite entries.
     """
@@ -241,7 +243,7 @@ def logm_principal(A, branch_tol=1e-12):
     if not np.all(np.isfinite(A)):
         raise NonFinite("logm input has non-finite entries")
     _check_branch_cut(np.diag(A) if np.array_equal(A, np.triu(A))
-                      else np.linalg.eigvals(A), branch_tol)
+                      else np.linalg.eigvals(A))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         L = spla.logm(A)

@@ -9,6 +9,7 @@ frequency grid or a simulated trajectory, with separate maxima over a band
 or window of interest.
 """
 
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from .matfun import FrequencyBand, TimeWindow
 from .system import (
     SecondOrderSystem,
     _dense,
-    _shifted_solves,
+    _dual_directions,
     check_stability,
     eval_transfer,
     first_companion,
@@ -85,14 +86,8 @@ def hybrid_prereduce(sys, omegas, tol=1e-12):
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1 or omegas.size == 0:
         raise InvalidParams("need a non-empty 1d array of sample frequencies")
-    cols = []
-    for w, XD in zip(omegas, _shifted_solves(sys, 1j * omegas, dual=True)):
-        if XD is None:
-            raise SingularShiftedSystem(f"sample point {1j * w} is (near) a pole")
-        for blk in XD:
-            cols.append(blk.real)
-            cols.append(blk.imag)
-    V = spla.orth(np.hstack(cols), rcond=tol)
+    V = spla.orth(_dual_directions(sys, 1j * omegas, SingularShiftedSystem),
+                  rcond=tol)
     pre = make_second_order(
         V.T @ (sys.M @ V), V.T @ (sys.E @ V), V.T @ (sys.K @ V),
         V.T @ sys.B_u, sys.C_p @ V, sys.C_v @ V)
@@ -141,10 +136,21 @@ class ReductionConfig:
             raise InvalidParams(f"unknown realization {self.realization!r}")
         if self.solver not in ("sign", "projection"):
             raise InvalidParams(f"unknown solver {self.solver!r}")
+        if not _none_or_number(self.fixed_order, numbers.Integral):
+            raise InvalidParams(f"fixed order must be an integer, got {self.fixed_order!r}")
+        if not _none_or_number(self.gamma, numbers.Real):
+            raise InvalidParams(f"gamma must be a real number, got {self.gamma!r}")
+        if not isinstance(self.modified, bool):
+            raise InvalidParams(f"modified must be true or false, got {self.modified!r}")
         if self.modified and self.method == "bt":
             raise InvalidParams("modified Gramians apply to flbt/tlbt only")
         if self.modified and self.solver == "projection":
             raise InvalidParams("modified Gramians need the dense sign solver")
+
+
+def _none_or_number(x, kind):
+    """``x`` is ``None`` or an instance of the ``numbers`` ``kind``, no bool."""
+    return x is None or isinstance(x, kind) and not isinstance(x, bool)
 
 
 @dataclass

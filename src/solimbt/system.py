@@ -13,10 +13,10 @@ for symmetric positive definite ``M, E, K``, a strictly dissipative
 realization whose symmetric part is definite.
 
 ``M``, ``E`` and ``K`` may be sparse (:func:`generate_chain` and loaded
-bundles are).  Shifted solves with ``s^2 M + s E + K`` (transfer
-evaluation, hybrid pre-reduction) and the simulation step then use
-SuperLU; the first-order realizations and everything built on them are
-dense.
+bundles are); the first-order realizations built on them are dense.
+:func:`_lu` alone picks SuperLU or LAPACK to factor ``s^2 M + s E + K``
+point by point, the simulation step matrix or ``M``, and :func:`simulate`
+steps every model in one loop in which only the solve of a step differs.
 """
 
 from dataclasses import dataclass, field, replace
@@ -79,6 +79,21 @@ def _getrf(A):
     return None if info > 0 else (lu, piv)
 
 
+def _lu(A):
+    """``solve(b, trans="N"|"T"|"H")`` with ``A``, ``A^T`` or ``A^H`` from one
+    LU factorization of a square ``A`` (SuperLU when sparse, LAPACK when
+    dense), or ``None`` if ``A`` is exactly singular.  A dense solve skips
+    the finiteness check, so non-finite data reaches the caller's check."""
+    if scipy.sparse.issparse(A):
+        try:
+            return sla.splu(A).solve
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            return None
+    factors = _getrf(A)
+    return factors and (lambda b, trans="N": spla.lu_solve(
+        factors, b, trans="NTH".index(trans), check_finite=False))
+
+
 def _rcond(A):
     """Estimated reciprocal 1-norm condition number of a square ``A``; 0 if
     an LU factorization finds it exactly singular.
@@ -88,12 +103,11 @@ def _rcond(A):
     estimator, which is deterministic.
     """
     if scipy.sparse.issparse(A):
-        try:
-            lu = sla.splu(A)
-        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        solve = _lu(A)
+        if solve is None:
             return 0.0
-        inv = sla.LinearOperator(A.shape, matvec=lu.solve, dtype=A.dtype,
-                                 rmatvec=lambda x: lu.solve(x, trans="T"))
+        inv = sla.LinearOperator(A.shape, matvec=solve, dtype=A.dtype,
+                                 rmatvec=lambda x: solve(x, trans="T"))
         return 1.0 / (sla.norm(A, 1) * sla.onenormest(inv, t=1))
     return _lu_rcond(A)[1]
 
@@ -152,8 +166,8 @@ class SecondOrderSystem:
 class FirstOrderRealization:
     """First-order pencil realization ``calE q' = calA q + calB u``, ``y = calC q``.
 
-    ``gamma`` holds the shift of a :func:`strictly_dissipative` realization
-    and is ``None`` otherwise.
+    The four matrices are always dense arrays.  ``gamma`` holds the shift of
+    a :func:`strictly_dissipative` realization and is ``None`` otherwise.
     """
 
     calE: np.ndarray
@@ -427,14 +441,15 @@ def _shifted_solves(obj, points, dual=False):
 
     Sparse ``M, E, K``: the CSC pattern of ``M + E + K`` and the entries of
     each matrix on it are built once, so a point costs one vector
-    combination and one SuperLU factorization.  Dense, ``X`` alone: the
+    combination and one SuperLU factorization.  Sparse, or ``dual``: each
+    point is factored once by :func:`_lu`, and ``D`` reuses the factors of
+    ``X``.  Dense, ``X`` alone: the
     operators of a chunk of as many points as ``_CHUNK_BYTES`` holds are
     stacked and solved by one ``numpy.linalg.solve`` call, which runs LAPACK
     ``gesv`` on each slice of the stack and, unlike ``scipy.linalg.solve``,
     neither estimates the condition nor looks for banded structure; a chunk
     with a singular point is solved again point by point, by the same
-    ``gesv``, so a point's ``X`` does not depend on its chunk.  Dense and
-    ``dual``: one LAPACK LU per point, shared by both solves.
+    ``gesv``, so a point's ``X`` does not depend on its chunk.
     """
     first = isinstance(obj, FirstOrderRealization)
     B = (obj.calB if first else obj.B_u).astype(complex)
@@ -458,23 +473,14 @@ def _shifted_solves(obj, points, dual=False):
 
     def pointwise():
         for s in points:
-            D = None
-            try:
-                if sparse:
-                    A.data = s * s * dM + s * dE + dK
-                    lu = sla.splu(A)
-                    X = lu.solve(B)
-                    if dual:
-                        D = lu.solve(_output_map(obj, s).conj().T, trans="H")
-                else:
-                    lu = _getrf(operator(s))
-                    if lu is None:
-                        raise spla.LinAlgError("exactly zero pivot")
-                    X = spla.lu_solve(lu, B)
-                    D = spla.lu_solve(lu, _output_map(obj, s).conj().T, trans=2)
-            except (spla.LinAlgError, RuntimeError):  # RuntimeError: SuperLU
+            if sparse:
+                A.data = s * s * dM + s * dE + dK
+            solve = _lu(A if sparse else operator(s))
+            if solve is None:
                 yield None
                 continue
+            X = solve(B)
+            D = solve(_output_map(obj, s).conj().T, trans="H") if dual else None
             if not (np.all(np.isfinite(X)) and (D is None or np.all(np.isfinite(D)))):
                 yield None
             else:
@@ -500,6 +506,19 @@ def _gesv_or_none(A, B):
         return np.linalg.solve(A, B)
     except np.linalg.LinAlgError:
         return None
+
+
+def _dual_directions(obj, points, error):
+    """The real block ``[X.real, X.imag, D.real, D.imag]`` per point of
+    :func:`_shifted_solves` with ``dual``, whose span is closed under
+    conjugation; raises ``error`` at the first point that is (near) a pole."""
+    cols = []
+    for s, XD in zip(points, _shifted_solves(obj, points, dual=True)):
+        if XD is None:
+            raise error(f"s={s} is (near) a pole")
+        for blk in XD:
+            cols += [blk.real, blk.imag]
+    return np.hstack(cols)
 
 
 def _output_map(obj, s):
@@ -707,13 +726,15 @@ def simulate(obj, signal, t, return_states=False):
         x_1 = x_0 + h/2 (v_0 + v_1),   S = M + h/2 E + h^2/4 K,
 
     which is the trapezoidal rule on any first companion form, with one
-    ``n x n`` factorization instead of one of size ``2n``.  Sparse ``M``,
-    ``E``, ``K`` stay sparse: one SuperLU factorization of ``S`` and one
-    CSR product with ``[-h K, M - h/2 E - h^2/4 K]`` per step.  A
+    ``n x n`` factorization instead of one of size ``2n``.  A
     :class:`FirstOrderRealization` is stepped on its pencil with
-    ``calE - h/2 calA``.  A dense model (either kind) solves with its
-    LAPACK ``getrf`` once, for the step matrix ``Phi`` of ``[x; v]`` (or of
-    ``q``) and the input map, so a step costs one product with ``Phi``:
+    ``calE - h/2 calA``.  Every model runs the same stepping loop, and only
+    the solve of a step differs.  Sparse ``M``, ``E``, ``K`` stay sparse:
+    one SuperLU factorization of ``S``, then one solve with it and one CSR
+    product with ``[-h K, M - h/2 E - h^2/4 K]`` per step.  A dense model
+    (either kind) solves with its LAPACK ``getrf`` once, for the step
+    matrix ``Phi`` of ``[x; v]`` (or of ``q``) and the input map, so a step
+    costs one product with ``Phi``:
     with ``P = S^{-1} [-h K, M - h/2 E - h^2/4 K]``,
     ``Phi = [[I, h/2 I] + h/2 P; P]``, and for a realization
     ``Phi = (calE - h/2 calA)^{-1} (calE + h/2 calA)``.
@@ -759,16 +780,12 @@ def simulate(obj, signal, t, return_states=False):
 
 def _trapezoid(obj, t, U, return_states=False):
     """The trapezoidal run of :func:`simulate` on a checked grid ``t`` with
-    input samples ``U``.
-
-    A dense model gets the step matrix ``Phi`` and the input map ``Gamma``
-    of ``q_1 = Phi q_0 + Gamma (u_0 + u_1)`` from the one ``getrf`` of the
-    run, so each step is one row product ``q Phi^T``.  The states are
-    stepped in blocks of ``_CHUNK_BYTES``; the outputs of a block are one
-    product with ``C^T``, and only the last state is carried to the next
-    block unless every state is returned.  Sparse models solve with their
-    SuperLU factorization at every step (:func:`_lu_steps`).
-    """
+    input samples ``U``: ``q_1 = Gamma (u_0 + u_1) + advance(q_0)``, stepped
+    in blocks of ``_CHUNK_BYTES`` whose inputs are one product with
+    ``Gamma^T`` and outputs one with ``C^T``; only the last state is carried
+    to the next block unless every state is returned.  Only ``advance``
+    differs: one row product with the step matrix ``Phi`` for a dense
+    model, one SuperLU solve for the new velocity of a sparse one."""
     h = t[1] - t[0]
     hh = 0.5 * h
     second_order = isinstance(obj, SecondOrderSystem)
@@ -785,31 +802,31 @@ def _trapezoid(obj, t, U, return_states=False):
         rhs_mat = obj.calE + hh * obj.calA
         hB = hh * obj.calB
         C = obj.calC
-    # only the factorization and the solve differ between sparse and dense
-    if scipy.sparse.issparse(lhs):
-        try:
-            solve = sla.splu(lhs).solve
-        except RuntimeError:  # SuperLU: "Factor is exactly singular"
-            solve = None
-    else:
-        lu = _getrf(lhs)
-        getrs, = spla.get_lapack_funcs(("getrs",), (lhs,))
-        solve = lu and (lambda b: getrs(*lu, b, overwrite_b=1)[0])
+    solve = _lu(lhs)
     if solve is None:
         raise NonFiniteState(f"trapezoidal step matrix is singular: s={2.0 / h:.6g} "
                              "is a pole")
     Usum = U[:-1] + U[1:]
-    if scipy.sparse.issparse(lhs):
-        return _lu_steps(solve, rhs_mat, hB, C, t, Usum, second_order, return_states)
+    if scipy.sparse.issparse(lhs):  # a second-order model: z is the new velocity
+        n = obj.n
+        G = solve(hB)
 
-    P, G = np.hsplit(solve(np.hstack([rhs_mat, hB])), [rhs_mat.shape[1]])
-    if second_order:  # P q + G (u_0 + u_1) is the new velocity
-        I = np.eye(obj.n)
-        Phi = np.vstack([np.hstack([I, hh * I]) + hh * P, P])
-        Gamma = np.vstack([hh * G, G])
+        def advance(q, row):
+            z = solve(rhs_mat @ q)
+            # x += h/2 (v_0 + v_1), without overflowing in v_0 + v_1
+            row[:n] += q[:n] + (hh * q[n:] + hh * z)
+            row[n:] += z
     else:
-        Phi, Gamma = P, G
-    PhiT, q = Phi.T, np.zeros(Phi.shape[0])
+        P, G = np.hsplit(solve(np.hstack([rhs_mat, hB])), [rhs_mat.shape[1]])
+        PhiT = P.T
+        if second_order:  # P q + G (u_0 + u_1) is the new velocity
+            I = np.eye(obj.n)
+            PhiT = np.vstack([np.hstack([I, hh * I]) + hh * P, P]).T
+
+        def advance(q, row):
+            row += q @ PhiT
+    Gamma = np.vstack([hh * G, G]) if second_order else G
+    q = np.zeros(rhs_mat.shape[1])
     rows = max(1, _CHUNK_BYTES // (8 * q.size))
     Y = np.zeros((t.size, C.shape[0]))
     states = np.zeros((t.size, q.size)) if return_states else None
@@ -819,50 +836,16 @@ def _trapezoid(obj, t, U, return_states=False):
         for lo in range(1, t.size, rows):
             Q = Usum[lo - 1:lo - 1 + rows] @ Gamma.T
             for row in Q:
-                row += q @ PhiT
+                advance(q, row)
                 q = row
             finite = np.isfinite(Q).all(axis=1)
             if not finite.all():
-                raise _diverged(t[lo + np.argmin(finite)])
+                raise NonFiniteState("state became non-finite at "
+                                     f"t={t[lo + np.argmin(finite)]:.6g}")
             Y[lo:lo + rows] = Q @ C.T
             if return_states:
                 states[lo:lo + rows] = Q
     return Trajectory(times=t, outputs=Y, states=states)
-
-
-def _lu_steps(solve, rhs_mat, hB, C, t, Usum, second_order, return_states):
-    """The trapezoidal run of a sparse model, with one ``solve`` by the
-    factorization of the step matrix and one product with ``rhs_mat`` per
-    step."""
-    hh = 0.5 * (t[1] - t[0])
-    q = np.zeros(rhs_mat.shape[1])
-    n = q.size // 2
-    Y = np.empty((t.size, C.shape[0]))
-    Y[0] = C @ q
-    states = np.empty((t.size, q.size)) if return_states else None
-    if return_states:
-        states[0] = q
-    # a blowing-up state overflows in the matmul first; keep that quiet and
-    # report it as a typed error instead
-    with np.errstate(over="ignore", invalid="ignore"):
-        for kk in range(t.size - 1):
-            z = solve(rhs_mat @ q + hB @ Usum[kk])
-            if second_order:  # z is the new velocity
-                # x += h/2 (v_0 + v_1), without overflowing in v_0 + v_1
-                q[:n] += hh * q[n:] + hh * z
-                q[n:] = z
-            else:
-                q = z
-            if not np.isfinite(q).all():
-                raise _diverged(t[kk + 1])
-            Y[kk + 1] = C @ q
-            if return_states:
-                states[kk + 1] = q
-    return Trajectory(times=t, outputs=Y, states=states)
-
-
-def _diverged(tk):
-    return NonFiniteState(f"state became non-finite at t={tk:.6g}")
 
 
 def check_stability(obj, guard=5000):

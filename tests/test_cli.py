@@ -175,6 +175,23 @@ def test_reduce_config_errors(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [
+    {"modified": "false"}, {"order": {"fixed": 2.5}}, {"order": {"fixed": True}},
+    {"order": {"fixed": "3"}}, {"gamma": "x"}, {"band": [[1, 2]]}, {"input": 5},
+], ids=["modified-string", "fixed-float", "fixed-bool", "fixed-string",
+        "gamma-string", "band-list", "input-number"])
+def test_reduce_config_value_of_wrong_type(tmp_path, capsys, override):
+    # a value of the wrong JSON type is a config error: it neither crashes
+    # nor is coerced ("false" is a true string, 2.5 would run order 2)
+    model = str(tmp_path / "model")
+    main(["generate", "--n", "10", "--out", model])
+    cfg = _write_job(tmp_path / "job.json", **{
+        "input": model, "output": str(tmp_path / "rom"), **override})
+    assert main(["reduce", "--config", str(cfg)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "rom").exists()
+
+
 def test_readme_lists_every_config_key():
     # the names back-ticked in the first column of the README's
     # "Recognized keys" table are exactly the keys a job file may set

@@ -520,32 +520,34 @@ def test_dense_step_matrix_matches_sparse_and_companion(monkeypatch, rows):
 
 def test_dense_divergence_is_found_in_any_block(monkeypatch):
     # the step at which the negative-stiffness model of the divergence test
-    # overflows, with blocks of states that end before, at and after it
+    # overflows, with blocks of states that end before, at and after it; the
+    # dense and the sparse model step through the same blocks
     sys = slt.make_second_order(np.eye(2), 0.1 * np.eye(2), -np.eye(2),
                                 np.ones((2, 1)), np.ones((1, 2)), np.ones((1, 2)))
     t = np.arange(0.0, 8000.0, 0.5)
-    for rows in (1, 733, 1465, 1466, 5000):
-        monkeypatch.setattr(system, "_CHUNK_BYTES", 8 * 4 * rows)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(errors.NonFiniteState, match=r"t=733$"):
-                slt.simulate(sys, slt.StepSignal(), t)
+    for obj in _with_csc(sys):
+        for rows in (1, 733, 1465, 1466, 5000):
+            monkeypatch.setattr(system, "_CHUNK_BYTES", 8 * 4 * rows)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(errors.NonFiniteState, match=r"t=733$"):
+                    slt.simulate(obj, slt.StepSignal(), t)
 
 
 def test_dense_simulation_memory_without_states():
-    # 100,000 steps of a dense model with 80 states: the states would take
-    # 64 MB, the outputs 2.4 MB and the inputs 0.8 MB
-    sys = _dense(slt.generate_chain(40))
+    # 100,000 steps of a model with 80 states, dense and sparse: the states
+    # would take 64 MB, the outputs 2.4 MB and the inputs 0.8 MB
     t = np.linspace(0.0, 1000.0, 100_001)
-    tracemalloc.start()
-    try:
-        Y = slt.simulate(sys, slt.StepSignal(), t).outputs
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * system._CHUNK_BYTES + 8 * t.size * 8
     ref = slt.simulate(slt.generate_chain(40), slt.StepSignal(), t[:2001]).outputs
-    assert_allclose(Y[:2001], ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+    for sys in _with_csc(_dense(slt.generate_chain(40))):
+        tracemalloc.start()
+        try:
+            Y = slt.simulate(sys, slt.StepSignal(), t).outputs
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * system._CHUNK_BYTES + 8 * t.size * 8
+        assert_allclose(Y[:2001], ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
 def test_simulate_singular_step_matrix():
