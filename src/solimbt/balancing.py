@@ -34,7 +34,7 @@ from .errors import (
     SingularM,
     SingularS,
 )
-from .lyapunov import IndefiniteRhs, solve_lyap_sign_dual
+from .gramians import infinite_gramians
 from .system import FirstOrderRealization, SecondOrderSystem, _lu, make_second_order
 
 FORMULAS = ("v", "fv", "vpm", "pm", "pv", "vp", "p", "so")
@@ -230,11 +230,9 @@ def first_order_bt(real, order_tol=1e-4, fixed_r=None):
     (Hankel) singular values; the worst-case transfer error over the whole
     frequency axis stays below it.
     """
-    P, Q, _ = solve_lyap_sign_dual(real.calE, real.calA,
-                                   IndefiniteRhs.definite(real.calB),
-                                   IndefiniteRhs.definite(real.calC.T))
-    R = P.cholesky_like()
-    L = Q.cholesky_like()
+    pair = infinite_gramians(real)
+    R = pair.controllability.cholesky_like()
+    L = pair.observability.cholesky_like()
     LU, sigma, RV = _balanced_pairs(L, real.calE, R, order_tol, fixed_r)
     r = LU.shape[1]
     sq = 1.0 / np.sqrt(sigma[:r])

@@ -9,6 +9,7 @@ failure.
 
 import argparse
 import json
+import numbers
 import sys as _sys
 import time
 
@@ -68,6 +69,15 @@ _CONFIG_KEYS = {
 }
 
 
+def _number(value, key, kind=numbers.Real):
+    """``value`` if it is a JSON number of ``kind``; a bool, string or list
+    is a config error, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a number"
+        raise InvalidParams(f"config value {key!r} must be {what}, got {value!r}")
+    return value
+
+
 def _load_job(path):
     with open(path) as fh:
         job = json.load(fh)
@@ -92,14 +102,21 @@ def _load_job(path):
         if "band" not in job:
             raise InvalidParams("missing config key 'band' (required for flbt)")
         entry = job["band"]
-        band = _band_from(entry["intervals"], entry.get("unit", "hz"))
+        ivs = entry["intervals"]
+        if not (isinstance(ivs, list)
+                and all(isinstance(iv, list) and len(iv) == 2 for iv in ivs)):
+            raise InvalidParams(f"config value 'intervals' must be a list of "
+                                f"[lo, hi] pairs, got {ivs!r}")
+        band = _band_from([[_number(x, "intervals") for x in iv] for iv in ivs],
+                          entry.get("unit", "hz"))
     elif "band" in job:
         raise InvalidParams("config key 'band' is only valid for method flbt")
     if method == "tlbt":
         if "window" not in job:
             raise InvalidParams("missing config key 'window' (required for tlbt)")
         entry = job["window"]
-        window = TimeWindow(float(entry["t0"]), float(entry["tf"]))
+        window = TimeWindow(float(_number(entry["t0"], "t0")),
+                            float(_number(entry["tf"], "tf")))
     elif "window" in job:
         raise InvalidParams("config key 'window' is only valid for method tlbt")
 
@@ -113,21 +130,21 @@ def _load_job(path):
         if not set(h) <= {"points", "fmin", "fmax", "unit", "tol"}:
             raise InvalidParams("bad key inside 'hybrid'")
         scalefac = TWO_PI if h.get("unit", "hz") == "hz" else 1.0
-        omegas = np.logspace(np.log10(h["fmin"] * scalefac),
-                             np.log10(h["fmax"] * scalefac),
-                             int(h.get("points", 200)))
-        hybrid = (omegas, float(h.get("tol", 1e-12)))
+        omegas = np.logspace(np.log10(_number(h["fmin"], "fmin") * scalefac),
+                             np.log10(_number(h["fmax"], "fmax") * scalefac),
+                             _number(h.get("points", 200), "points", numbers.Integral))
+        hybrid = (omegas, float(_number(h.get("tol", 1e-12), "tol")))
 
     config = pipeline.ReductionConfig(
         method=method,
         formula=job.get("formula", "pv"),
         band=band, window=window,
-        order_tol=float(order.get("tol", 1e-4)),
+        order_tol=float(_number(order.get("tol", 1e-4), "tol")),
         fixed_order=order.get("fixed"),
         realization=job.get("realization", "companion"),
         j=job.get("j", "identity"),
         gamma=job.get("gamma"),
-        alpha=float(job.get("alpha", 0.0)),
+        alpha=float(_number(job.get("alpha", 0.0), "alpha")),
         solver=job.get("solver", "sign"),
         modified=job.get("modified", False),
         hybrid=hybrid)

@@ -1,19 +1,20 @@
 """System Gramians: classical, band-limited, window-limited and modified.
 
 All flavors reduce to a pair of generalized Lyapunov equations whose
-right-hand sides differ:
+right-hand sides ``G S G^T`` differ only in the factor and the signature:
 
-======== ==========================================================
-infinite ``calB calB^T``                      (definite)
-band     ``B_lim calB^T + calB B_lim^T``      (indefinite, rank 2m)
-window   ``B_t0 B_t0^T - B_tf B_tf^T``        (indefinite, rank 2m)
-modified eigenvalue-split definite surrogate of a limited right-hand
-         side; dominates the limited Gramian from above
-======== ==========================================================
+======== ================= ==================== ============================
+flavor   ``G``             ``S``                built by
+======== ================= ==================== ============================
+infinite ``calB``          ``I``                :func:`infinite_gramians`
+band     ``[B_lim, calB]`` ``[[0, I], [I, 0]]`` ``matfun.freq_limited_rhs``
+window   ``[B_t0, B_tf]``  ``diag(I, -I)``      ``matfun.time_limited_rhs``
+modified ``U |eta|^{1/2}`` ``I``                :func:`definite_surrogate`
+======== ================= ==================== ============================
 
-(observability analogously with ``calC``).  The indefinite cases are passed
-to the solvers in factored ``G S G^T`` form with the natural 2x2 block
-signature.
+(observability analogously with ``calC^T``).  The modified factor comes
+from ``ldl_compress(G, S) = (U, diag(eta))`` of a band or window pair and
+dominates that right-hand side from above.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ import scipy.linalg as spla
 
 from . import lyapunov, matfun
 from .errors import DimensionMismatch, InvalidParams
-from .lyapunov import GramianFactor, IndefiniteRhs
+from .lyapunov import GramianFactor, IndefiniteRhs, ldl_compress
 
 
 @dataclass
@@ -80,43 +81,17 @@ def infinite_gramians(real, solver="sign"):
                        "infinite", solver=solver)
 
 
-def _limited_rhs(real, band, window):
-    """Factored right-hand sides ``(rhs_c, rhs_o)`` of a band or a window."""
-    if band is not None:
-        rhs = matfun.freq_limited_rhs(real, band)
-        Gc, Go = (rhs.B_lim, real.calB), (rhs.C_lim.T, real.calC.T)
-    else:
-        rhs = matfun.time_limited_rhs(real, window)
-        Gc, Go = (rhs.B_t0, rhs.B_tf), (rhs.C_t0.T, rhs.C_tf.T)
-
-    def signature(k):
-        ident, zero = np.eye(k), np.zeros((k, k))
-        if band is not None:
-            return np.block([[zero, ident], [ident, zero]])
-        return np.block([[ident, zero], [zero, -ident]])
-
-    return (IndefiniteRhs(np.hstack(Gc), signature(real.m)),
-            IndefiniteRhs(np.hstack(Go), signature(real.p)))
-
-
 def frequency_limited_gramians(real, band, solver="sign"):
-    """Band-limited Gramian pair.
-
-    The right-hand sides couple the band-limited maps with the plain ones:
-    ``[B_lim, calB]`` against the swap signature ``[[0, I], [I, 0]]`` (and the
-    transposed analogue for the outputs).
-    """
-    return _solve_pair(real, lambda r: _limited_rhs(r, band, None),
+    """Band-limited Gramian pair (right-hand sides of
+    ``matfun.freq_limited_rhs``)."""
+    return _solve_pair(real, lambda r: matfun.freq_limited_rhs(r, band),
                        "band", band=band, solver=solver)
 
 
 def time_limited_gramians(real, window, solver="sign"):
-    """Window-limited Gramian pair.
-
-    Right-hand sides are differences of propagated maps at the window
-    endpoints, ``[B_t0, B_tf]`` against ``diag(I, -I)``.
-    """
-    return _solve_pair(real, lambda r: _limited_rhs(r, None, window),
+    """Window-limited Gramian pair (right-hand sides of
+    ``matfun.time_limited_rhs``)."""
+    return _solve_pair(real, lambda r: matfun.time_limited_rhs(r, window),
                        "window", window=window, solver=solver)
 
 
@@ -126,18 +101,12 @@ SURROGATE_CUTOFF = 1e-12  # relative size of a core eigenvalue taken as zero
 def definite_surrogate(rhs):
     """Definite replacement of an indefinite factored right-hand side.
 
-    Eigendecomposes ``G S G^T`` through its thin factor, keeps the
-    nonzero-eigenvalue directions ``U_1`` and returns
-    ``U_1 diag(|eta|)^{1/2}``, so the surrogate is
-    ``U_1 |diag(eta)| U_1^T >= G S G^T``.
+    ``ldl_compress`` writes ``G S G^T = U diag(eta) U^T`` with orthonormal
+    ``U``, dropping ``|eta|`` below ``SURROGATE_CUTOFF`` relative; the result
+    ``U diag(|eta|)^{1/2}`` gives ``U |diag(eta)| U^T >= G S G^T``.
     """
-    Q, R = spla.qr(rhs.G, mode="economic")
-    core = R @ rhs.S @ R.T
-    core = 0.5 * (core + core.T)
-    eta, V = spla.eigh(core)
-    emax = np.max(np.abs(eta)) if eta.size else 0.0
-    keep = np.abs(eta) > SURROGATE_CUTOFF * emax
-    return (Q @ V[:, keep]) * np.sqrt(np.abs(eta[keep]))
+    U, Y = ldl_compress(rhs.G, rhs.S, tol=SURROGATE_CUTOFF)
+    return U * np.sqrt(np.abs(np.diag(Y)))
 
 
 def modified_gramians(real, band=None, window=None):
@@ -149,10 +118,13 @@ def modified_gramians(real, band=None, window=None):
     """
     if (band is None) == (window is None):
         raise InvalidParams("pass exactly one of band or window")
-    flavor = "band_modified" if band is not None else "window_modified"
+    if band is not None:
+        flavor, limited = "band_modified", lambda r: matfun.freq_limited_rhs(r, band)
+    else:
+        flavor, limited = "window_modified", lambda r: matfun.time_limited_rhs(r, window)
     return _solve_pair(
         real, lambda r: tuple(IndefiniteRhs.definite(definite_surrogate(x))
-                              for x in _limited_rhs(r, band, window)),
+                              for x in limited(r)),
         flavor, band=band, window=window)
 
 

@@ -93,6 +93,17 @@ class IndefiniteRhs:
     def definite(cls, G):
         return cls(G, np.eye(G.shape[1]))
 
+    @classmethod
+    def swap(cls, F, G):
+        """``F G^T + G F^T`` as ``[F, G]`` against ``[[0, I], [I, 0]]``."""
+        k = F.shape[1]
+        return cls(np.hstack([F, G]), np.roll(np.eye(2 * k), k, axis=1))
+
+    @classmethod
+    def difference(cls, F, G):
+        """``F F^T - G G^T`` as ``[F, G]`` against ``diag(I, -I)``."""
+        return cls(np.hstack([F, G]), np.diag(np.repeat([1.0, -1.0], F.shape[1])))
+
     def dense(self):
         return self.G @ self.S @ self.G.T
 

@@ -7,7 +7,9 @@ Frequency-limited balancing needs
 
 time-limited balancing needs propagated input/output maps
 ``B_t = exp(calA calE^{-1} t) calB`` and ``C_t = calC exp(calE^{-1} calA t)``.
-Both enter indefinite right-hand sides of generalized Lyapunov equations.
+Both enter indefinite right-hand sides of generalized Lyapunov equations;
+``freq_limited_rhs`` and ``time_limited_rhs`` return them in the factored
+``G S G^T`` form the solvers take.
 
 The logarithm is taken on one eigendecomposition ``V diag(lambda) V^{-1}`` of
 ``calE^{-1} calA``: the scalar band product is evaluated on ``lambda`` and
@@ -38,6 +40,7 @@ from .errors import (
     NonFinite,
     UnstableRealization,
 )
+from .lyapunov import IndefiniteRhs
 from .system import _lu_rcond
 
 TWO_PI = 2.0 * np.pi
@@ -314,23 +317,12 @@ def _band_logarithm(X, band):
             lambda Y: ((Y @ Z) @ LT) @ Z.conj().T)
 
 
-@dataclass
-class BandLimitedRhs:
-    """Band-limited input/output maps entering the Lyapunov right-hand sides.
-
-    The controllability equation uses ``B_lim calB^T + calB B_lim^T`` and the
-    observability equation ``C_lim^T calC + calC^T C_lim``.
-    """
-
-    B_lim: np.ndarray
-    C_lim: np.ndarray
-    band: FrequencyBand
-
-
 def freq_limited_rhs(real, band):
-    """Band-limited maps ``B_lim = calE F_Omega calB = calE R calE^{-1} calB``
-    and ``C_lim = calC F_Omega calE = calC R``, where ``F_Omega = R calE^{-1}``
-    and ``R = Re((i/pi) log(G))``.
+    """Factored band-limited right-hand sides ``(rhs_c, rhs_o)``:
+    ``IndefiniteRhs.swap(B_lim, calB)`` and ``IndefiniteRhs.swap(C_lim^T, calC^T)``
+    with ``B_lim = calE F_Omega calB = calE R calE^{-1} calB``,
+    ``C_lim = calC F_Omega calE = calC R``, ``F_Omega = R calE^{-1}`` and
+    ``R = Re((i/pi) log(G))``.
 
     A single interval starting at zero takes the symmetric-band
     simplification ``R = Re((i/pi) log(-calE^{-1} calA - i w I))``; the
@@ -353,27 +345,15 @@ def freq_limited_rhs(real, band):
     # R is real, so R Y = Re((i/pi) log(G) Y) for a real block Y
     RB = np.real((1j / np.pi) * log_times(EinvB))
     CR = np.real((1j / np.pi) * times_log(real.calC))
-    return BandLimitedRhs(B_lim=real.calE @ RB, C_lim=CR, band=band)
-
-
-@dataclass
-class TimeLimitedRhs:
-    """Propagated maps at the window endpoints.
-
-    The controllability right-hand side is ``B_t0 B_t0^T - B_tf B_tf^T`` and
-    the observability one ``C_t0^T C_t0 - C_tf^T C_tf``.
-    """
-
-    B_t0: np.ndarray
-    B_tf: np.ndarray
-    C_t0: np.ndarray
-    C_tf: np.ndarray
-    window: TimeWindow
+    return (IndefiniteRhs.swap(real.calE @ RB, real.calB),
+            IndefiniteRhs.swap(CR.T, real.calC.T))
 
 
 def time_limited_rhs(real, window):
-    """Window-limited maps ``B_t = exp(calA calE^{-1} t) calB`` and
-    ``C_t = calC exp(calE^{-1} calA t)``.
+    """Factored window-limited right-hand sides ``(rhs_c, rhs_o)``:
+    ``IndefiniteRhs.difference(B_t0, B_tf)`` and
+    ``IndefiniteRhs.difference(C_t0^T, C_tf^T)`` with the propagated maps
+    ``B_t = exp(calA calE^{-1} t) calB`` and ``C_t = calC exp(calE^{-1} calA t)``.
 
     With ``X = calE^{-1} calA``, ``B_t = calE exp(X t) calE^{-1} calB`` and
     ``C_t^T = exp(X^T t) calC^T`` are actions of the exponential on thin
@@ -399,7 +379,7 @@ def time_limited_rhs(real, window):
 
     def maps(t):
         if t == 0.0:
-            return calB.copy(), calC.copy()
+            return calB, calC
         Xt = X * t
         plan_b, plan_c = _taylor_plan(Xt), _taylor_plan(Xt.T)
         cost = real.m * np.prod(plan_b[2:]) + real.p * np.prod(plan_c[2:])
@@ -411,8 +391,8 @@ def time_limited_rhs(real, window):
 
     B_t0, C_t0 = maps(window.t0)
     B_tf, C_tf = maps(window.tf)
-    return TimeLimitedRhs(B_t0=B_t0, B_tf=B_tf, C_t0=C_t0, C_tf=C_tf,
-                          window=window)
+    return (IndefiniteRhs.difference(B_t0, B_tf),
+            IndefiniteRhs.difference(C_t0.T, C_tf.T))
 
 
 @lru_cache(maxsize=4)

@@ -848,7 +848,10 @@ def _trapezoid(obj, t, U, return_states=False):
     return Trajectory(times=t, outputs=Y, states=states)
 
 
-def check_stability(obj, guard=5000):
+STABILITY_MAX_DIM = 5000  # largest dimension of a dense stability eigensolve
+
+
+def check_stability(obj):
     """Dense eigenvalue-based stability check of the realization pencil.
 
     Second-order systems are checked through their companion form, once
@@ -860,12 +863,13 @@ def check_stability(obj, guard=5000):
     Raises
     ------
     DimensionTooLarge
-        If the realization dimension exceeds ``guard``.
+        If the realization dimension exceeds ``STABILITY_MAX_DIM``.
     """
     second_order = isinstance(obj, SecondOrderSystem)
     N = 2 * obj.n if second_order else obj.N
-    if N > guard:
-        raise DimensionTooLarge(f"dense eigensolve guard: N={N} > {guard}")
+    if N > STABILITY_MAX_DIM:
+        raise DimensionTooLarge(
+            f"dense eigensolve guard: N={N} > {STABILITY_MAX_DIM}")
     rep = _memoized(obj, "check_stability", None, lambda: _stability(
         first_companion(obj) if second_order else obj))
     return replace(rep, eigenvalues=rep.eigenvalues.copy(),

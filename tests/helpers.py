@@ -68,3 +68,12 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def rhs_blocks(pair):
+    """Blocks of a limited right-hand-side pair ``(rhs_c, rhs_o)``:
+    ``(B_lim, calB, C_lim, calC)`` of a band and ``(B_t0, B_tf, C_t0, C_tf)``
+    of a window, the output maps as rows."""
+    rhs_c, rhs_o = pair
+    m, p = rhs_c.G.shape[1] // 2, rhs_o.G.shape[1] // 2
+    return rhs_c.G[:, :m], rhs_c.G[:, m:], rhs_o.G[:, :p].T, rhs_o.G[:, p:].T

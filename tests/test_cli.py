@@ -103,8 +103,8 @@ def _write_job(path, **overrides):
         "band": {"intervals": [[0.01, 0.05]], "unit": "hz"},
         "order": {"fixed": 3},
     }
-    job.update(overrides)
-    path.write_text(json.dumps(job))
+    job.update(overrides)  # an override of None drops the key
+    path.write_text(json.dumps({k: v for k, v in job.items() if v is not None}))
     return path
 
 
@@ -178,8 +178,14 @@ def test_reduce_config_errors(tmp_path, capsys):
 @pytest.mark.parametrize("override", [
     {"modified": "false"}, {"order": {"fixed": 2.5}}, {"order": {"fixed": True}},
     {"order": {"fixed": "3"}}, {"gamma": "x"}, {"band": [[1, 2]]}, {"input": 5},
+    {"alpha": [1]}, {"alpha": "1"},
+    {"method": "tlbt", "band": None, "window": {"t0": [0], "tf": 20}},
+    {"order": {"tol": [1]}}, {"band": {"intervals": 5}},
+    {"hybrid": {"fmin": "x", "fmax": 10}},
 ], ids=["modified-string", "fixed-float", "fixed-bool", "fixed-string",
-        "gamma-string", "band-list", "input-number"])
+        "gamma-string", "band-list", "input-number", "alpha-list",
+        "alpha-string", "window-t0-list", "tol-list", "intervals-number",
+        "hybrid-fmin-string"])
 def test_reduce_config_value_of_wrong_type(tmp_path, capsys, override):
     # a value of the wrong JSON type is a config error: it neither crashes
     # nor is coerced ("false" is a true string, 2.5 would run order 2)

@@ -11,7 +11,7 @@ import solimbt as slt
 from solimbt import errors
 from solimbt.gramians import definite_surrogate
 
-from helpers import min_eig, stable_generic
+from helpers import min_eig, rhs_blocks, stable_generic
 
 
 def _scalar_so(M=1.0, E=2.0, K=1.0):
@@ -70,13 +70,13 @@ def test_band_pair_matches_oracle():
     real = stable_generic(rng, 10, m=2, p=2)
     band = slt.FrequencyBand([(0.4, 1.2), (2.0, 3.0)])
     pair = slt.frequency_limited_gramians(real, band)
-    rhs = slt.freq_limited_rhs(real, band)
+    B_lim, _, C_lim, _ = rhs_blocks(slt.freq_limited_rhs(real, band))
     Pref = slt.solve_lyap_dense_oracle(
         real.calA, real.calE,
-        rhs.B_lim @ real.calB.T + real.calB @ rhs.B_lim.T)
+        B_lim @ real.calB.T + real.calB @ B_lim.T)
     Qref = slt.solve_lyap_dense_oracle(
         real.calA.T, real.calE.T,
-        rhs.C_lim.T @ real.calC + real.calC.T @ rhs.C_lim)
+        C_lim.T @ real.calC + real.calC.T @ C_lim)
     assert_allclose(pair.controllability.matrix(), Pref, rtol=1e-8, atol=1e-10)
     assert_allclose(pair.observability.matrix(), Qref, rtol=1e-8, atol=1e-10)
     assert pair.band is band
@@ -87,13 +87,13 @@ def test_window_pair_matches_oracle():
     real = stable_generic(rng, 9, m=1, p=2)
     win = slt.TimeWindow(0.3, 2.0)
     pair = slt.time_limited_gramians(real, win)
-    rhs = slt.time_limited_rhs(real, win)
+    B_t0, B_tf, C_t0, C_tf = rhs_blocks(slt.time_limited_rhs(real, win))
     Pref = slt.solve_lyap_dense_oracle(
         real.calA, real.calE,
-        rhs.B_t0 @ rhs.B_t0.T - rhs.B_tf @ rhs.B_tf.T)
+        B_t0 @ B_t0.T - B_tf @ B_tf.T)
     Qref = slt.solve_lyap_dense_oracle(
         real.calA.T, real.calE.T,
-        rhs.C_t0.T @ rhs.C_t0 - rhs.C_tf.T @ rhs.C_tf)
+        C_t0.T @ C_t0 - C_tf.T @ C_tf)
     assert_allclose(pair.controllability.matrix(), Pref, rtol=1e-8, atol=1e-10)
     assert_allclose(pair.observability.matrix(), Qref, rtol=1e-8, atol=1e-10)
 

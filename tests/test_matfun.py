@@ -11,7 +11,7 @@ import solimbt as slt
 from solimbt import errors, matfun
 from solimbt.matfun import TWO_PI
 
-from helpers import count_calls, stable_generic
+from helpers import count_calls, rhs_blocks, stable_generic
 
 
 # ---------------------------------------------------------------- band/window
@@ -211,7 +211,7 @@ def test_band_selector_scalar_frozen():
     # (arctan(w2) - arctan(w1)) / pi = 0.10241638234956672 on [1, 2].
     real = _scalar_real()
     band = slt.FrequencyBand([(1.0, 2.0)])
-    F = slt.freq_limited_rhs(real, band).B_lim
+    F = rhs_blocks(slt.freq_limited_rhs(real, band))[0]
     expected = (np.arctan(2.0) - np.arctan(1.0)) / np.pi
     assert F.shape == (1, 1)
     assert F[0, 0] == pytest.approx(expected, abs=1e-13)
@@ -220,7 +220,7 @@ def test_band_selector_scalar_frozen():
 
 def test_band_selector_scalar_additive():
     real = _scalar_real()
-    F_a, F_b, F_ab = (slt.freq_limited_rhs(real, slt.FrequencyBand([iv])).B_lim
+    F_a, F_b, F_ab = (rhs_blocks(slt.freq_limited_rhs(real, slt.FrequencyBand([iv])))[0]
                       for iv in ((1.0, 2.0), (2.0, 3.0), (1.0, 3.0)))
     assert F_a[0, 0] + F_b[0, 0] == pytest.approx(F_ab[0, 0], abs=1e-13)
 
@@ -230,10 +230,11 @@ def test_band_selector_zero_start_path():
     # with the general interval-product route up to the (tiny) [0, eps] sliver.
     rng = np.random.default_rng(5)
     real = stable_generic(rng, 6)
-    rhs0 = slt.freq_limited_rhs(real, slt.FrequencyBand([(0.0, 2.0)]))
-    rhs_eps = slt.freq_limited_rhs(real, slt.FrequencyBand([(1e-9, 2.0)]))
-    assert_allclose(rhs0.B_lim, rhs_eps.B_lim, rtol=1e-6, atol=1e-8)
-    assert_allclose(rhs0.C_lim, rhs_eps.C_lim, rtol=1e-6, atol=1e-8)
+    B0, _, C0, _ = rhs_blocks(slt.freq_limited_rhs(real, slt.FrequencyBand([(0.0, 2.0)])))
+    B_eps, _, C_eps, _ = rhs_blocks(
+        slt.freq_limited_rhs(real, slt.FrequencyBand([(1e-9, 2.0)])))
+    assert_allclose(B0, B_eps, rtol=1e-6, atol=1e-8)
+    assert_allclose(C0, C_eps, rtol=1e-6, atol=1e-8)
 
 
 def _dense_band_oracle(real, band):
@@ -249,11 +250,11 @@ def _dense_band_oracle(real, band):
 def _assert_matches_dense_oracle(real, band):
     """``B_lim`` and ``C_lim`` within 1e-10 relative of the oracle."""
     F_ref = _dense_band_oracle(real, band)
-    rhs = slt.freq_limited_rhs(real, band)
+    B_lim, _, C_lim, _ = rhs_blocks(slt.freq_limited_rhs(real, band))
     B_ref = real.calE @ F_ref @ real.calB
     C_ref = real.calC @ F_ref @ real.calE
-    assert np.linalg.norm(rhs.B_lim - B_ref) <= 1e-10 * np.linalg.norm(B_ref)
-    assert np.linalg.norm(rhs.C_lim - C_ref) <= 1e-10 * np.linalg.norm(C_ref)
+    assert np.linalg.norm(B_lim - B_ref) <= 1e-10 * np.linalg.norm(B_ref)
+    assert np.linalg.norm(C_lim - C_ref) <= 1e-10 * np.linalg.norm(C_ref)
 
 
 def test_band_selector_matches_dense_oracle():
@@ -270,8 +271,8 @@ def test_band_selector_needs_no_separate_eigensolve(monkeypatch):
                         _no_eigensolve)
     for band in (slt.FrequencyBand([(0.0, 2.0)]),
                  slt.FrequencyBand([(0.3, 1.0), (2.0, 4.0)])):
-        rhs = slt.freq_limited_rhs(real, band)
-        assert np.all(np.isfinite(rhs.B_lim)) and np.all(np.isfinite(rhs.C_lim))
+        B_lim, _, C_lim, _ = rhs_blocks(slt.freq_limited_rhs(real, band))
+        assert np.all(np.isfinite(B_lim)) and np.all(np.isfinite(C_lim))
     with pytest.raises(errors.UnstableRealization):
         slt.freq_limited_rhs(_scalar_real(a=1.0), slt.FrequencyBand([(1.0, 2.0)]))
 
@@ -344,8 +345,8 @@ def test_band_rhs_errors_on_eig_route(monkeypatch):
                                      np.ones((2, 1)), np.ones((1, 2)))
     with pytest.raises(errors.BranchCutViolation):
         slt.freq_limited_rhs(real, band)
-    assert np.all(np.isfinite(slt.freq_limited_rhs(
-        real, slt.FrequencyBand([(0.0, 3.0)])).B_lim))
+    assert np.all(np.isfinite(rhs_blocks(slt.freq_limited_rhs(
+        real, slt.FrequencyBand([(0.0, 3.0)])))[0]))
 
 
 def test_band_selector_requires_stable():
@@ -357,32 +358,56 @@ def test_band_selector_requires_stable():
 def test_freq_limited_rhs_scalar():
     real = _scalar_real(b=2.0, c=3.0)
     band = slt.FrequencyBand([(1.0, 2.0)])
-    rhs = slt.freq_limited_rhs(real, band)
+    B_lim, calB, C_lim, calC = rhs_blocks(slt.freq_limited_rhs(real, band))
     f = (np.arctan(2.0) - np.arctan(1.0)) / np.pi
-    assert rhs.B_lim[0, 0] == pytest.approx(2.0 * f, abs=1e-13)
-    assert rhs.C_lim[0, 0] == pytest.approx(3.0 * f, abs=1e-13)
-    assert rhs.band is band
+    assert B_lim[0, 0] == pytest.approx(2.0 * f, abs=1e-13)
+    assert C_lim[0, 0] == pytest.approx(3.0 * f, abs=1e-13)
+    assert (calB[0, 0], calC[0, 0]) == (2.0, 3.0)
 
 
 def test_freq_limited_rhs_shapes():
     rng = np.random.default_rng(6)
     real = stable_generic(rng, 7, m=2, p=3)
-    rhs = slt.freq_limited_rhs(real, slt.FrequencyBand([(0.5, 1.5)]))
-    assert rhs.B_lim.shape == (7, 2)
-    assert rhs.C_lim.shape == (3, 7)
+    rhs_c, rhs_o = slt.freq_limited_rhs(real, slt.FrequencyBand([(0.5, 1.5)]))
+    B_lim, _, C_lim, _ = rhs_blocks((rhs_c, rhs_o))
+    assert B_lim.shape == (7, 2)
+    assert C_lim.shape == (3, 7)
+    assert rhs_c.G.shape == (7, 4) and rhs_c.S.shape == (4, 4)
+    assert rhs_o.G.shape == (7, 6) and rhs_o.S.shape == (6, 6)
+
+
+def test_limited_rhs_pairs_stand_for_their_right_hand_sides():
+    # the factored pairs are B_lim calB^T + calB B_lim^T (and the output
+    # analogue) for a band, B_t0 B_t0^T - B_tf B_tf^T for a window
+    real = stable_generic(np.random.default_rng(8), 7, m=2, p=3)
+    pair = slt.freq_limited_rhs(real, slt.FrequencyBand([(0.5, 1.5)]))
+    B_lim, calB, C_lim, calC = rhs_blocks(pair)
+    assert np.array_equal(calB, real.calB) and np.array_equal(calC, real.calC)
+    assert_allclose(pair[0].dense(), B_lim @ calB.T + calB @ B_lim.T,
+                    rtol=1e-14, atol=1e-14)
+    assert_allclose(pair[1].dense(), C_lim.T @ calC + calC.T @ C_lim,
+                    rtol=1e-14, atol=1e-14)
+    pair = slt.time_limited_rhs(real, slt.TimeWindow(0.5, 2.0))
+    B_t0, B_tf, C_t0, C_tf = rhs_blocks(pair)
+    assert_allclose(pair[0].dense(), B_t0 @ B_t0.T - B_tf @ B_tf.T,
+                    rtol=1e-14, atol=1e-14)
+    assert_allclose(pair[1].dense(), C_t0.T @ C_t0 - C_tf.T @ C_tf,
+                    rtol=1e-14, atol=1e-14)
 
 
 # ---------------------------------------------------------------- time-limited
 
 def test_time_limited_rhs_scalar():
     real = _scalar_real()
-    rhs = slt.time_limited_rhs(real, slt.TimeWindow(0.0, 1.0))
-    assert rhs.B_t0[0, 0] == pytest.approx(1.0)
-    assert rhs.B_tf[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-14)
-    assert rhs.C_tf[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-14)
-    # t0 = 0 returns unpropagated copies, not aliases
-    assert rhs.B_t0 is not real.calB
-    assert np.array_equal(rhs.B_t0, real.calB)
+    rhs_c, rhs_o = slt.time_limited_rhs(real, slt.TimeWindow(0.0, 1.0))
+    B_t0, B_tf, _, C_tf = rhs_blocks((rhs_c, rhs_o))
+    assert B_t0[0, 0] == pytest.approx(1.0)
+    assert B_tf[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-14)
+    assert C_tf[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-14)
+    # t0 = 0 takes the unpropagated maps into new factors, not aliases
+    assert not np.shares_memory(rhs_c.G, real.calB)
+    assert not np.shares_memory(rhs_o.G, real.calC)
+    assert np.array_equal(B_t0, real.calB)
 
 
 def test_time_limited_rhs_matches_direct_exponential(monkeypatch):
@@ -394,9 +419,9 @@ def test_time_limited_rhs_matches_direct_exponential(monkeypatch):
     dense = count_calls(monkeypatch, spla, "expm")
     for win, n_dense in ((slt.TimeWindow(0.05, 0.1), 0), (slt.TimeWindow(0.4, 40.0), 2)):
         n0 = len(dense)
-        rhs = slt.time_limited_rhs(real, win)
+        B_t0, B_tf, C_t0, C_tf = rhs_blocks(slt.time_limited_rhs(real, win))
         assert len(dense) - n0 == n_dense
-        for t, Bt, Ct in ((win.t0, rhs.B_t0, rhs.C_t0), (win.tf, rhs.B_tf, rhs.C_tf)):
+        for t, Bt, Ct in ((win.t0, B_t0, C_t0), (win.tf, B_tf, C_tf)):
             direct_B = spla.expm(real.calA @ np.linalg.inv(real.calE) * t) @ real.calB
             direct_C = real.calC @ spla.expm(np.linalg.inv(real.calE) @ real.calA * t)
             assert_allclose(Bt, direct_B, rtol=1e-10, atol=1e-12)
@@ -414,12 +439,12 @@ def test_time_limited_rhs_short_window_forms_no_exponential(chain300, monkeypatc
     W = spla.expm(20.0 * X)
     monkeypatch.setattr(spla, "expm", _no_dense_expm)
     plans = count_calls(monkeypatch, matfun, "_taylor_plan")
-    rhs = slt.time_limited_rhs(real, win)
+    _, B_tf, _, C_tf = rhs_blocks(slt.time_limited_rhs(real, win))
     assert len(plans) == 2  # one per side of the propagated end, none repeated
     ref_B = real.calE @ (W @ np.linalg.solve(real.calE, real.calB))
-    assert np.linalg.norm(rhs.B_tf - ref_B) <= 1e-12 * np.linalg.norm(ref_B)
+    assert np.linalg.norm(B_tf - ref_B) <= 1e-12 * np.linalg.norm(ref_B)
     ref_C = real.calC @ W
-    assert np.linalg.norm(rhs.C_tf - ref_C) <= 1e-12 * np.linalg.norm(ref_C)
+    assert np.linalg.norm(C_tf - ref_C) <= 1e-12 * np.linalg.norm(ref_C)
 
 
 def test_time_limited_rhs_long_window_one_exponential_per_end(chain300, monkeypatch):

@@ -12,7 +12,7 @@ import solimbt as slt
 from solimbt import matfun
 from solimbt.system import _rcond
 
-from helpers import stable_generic
+from helpers import random_second_order, rhs_blocks, stable_generic
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None,
                          max_examples=60)
@@ -48,11 +48,11 @@ def test_band_rhs_eig_route_agrees_with_schur_fallback(real, band):
     # only pencils whose eigenvectors admit the eig route count
     V = spla.eig(spla.solve(real.calE, real.calA))[1]
     assume(_rcond(V) >= matfun.EIG_RCOND_MIN)
-    rhs = slt.freq_limited_rhs(real, band)
+    B_lim, _, C_lim, _ = rhs_blocks(slt.freq_limited_rhs(real, band))
     with mock.patch.object(matfun, "EIG_RCOND_MIN", np.inf):  # force Schur
-        rhs_s = slt.freq_limited_rhs(real, band)
-    assert _rel(rhs.B_lim, rhs_s.B_lim) <= 1e-9
-    assert _rel(rhs.C_lim, rhs_s.C_lim) <= 1e-9
+        B_s, _, C_s, _ = rhs_blocks(slt.freq_limited_rhs(real, band))
+    assert _rel(B_lim, B_s) <= 1e-9
+    assert _rel(C_lim, C_s) <= 1e-9
 
 
 @DETERMINISTIC
@@ -92,3 +92,43 @@ def test_sign_matches_oracle_on_general_pencils(data, real):
     Q_ref = slt.solve_lyap_dense_oracle(real.calA.T, real.calE.T, rhs_o.dense())
     assert _rel(P.matrix(), P_ref) <= 1e-9
     assert _rel(Q.matrix(), Q_ref) <= 1e-9
+
+
+@st.composite
+def second_order_systems(draw):
+    """Second-order systems with SPD ``M, E, K`` (hence c-stable), n <= 6."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_second_order(rng, draw(st.integers(1, 6)),
+                               m=draw(st.integers(1, 2)), p=draw(st.integers(1, 2)))
+
+
+FREQS = st.lists(st.floats(0.01, 10.0), min_size=1, max_size=4)
+
+
+@DETERMINISTIC
+@given(sys=second_order_systems(), alpha=st.floats(0.0, 2.0), omegas=FREQS)
+def test_alpha_shift_round_trip(sys, alpha, omegas):
+    # H~(s) = H(s + alpha), and the back-substitution recovers the system
+    shifted = slt.alpha_shift(sys, alpha)
+    s = 1j * np.array(omegas)
+    H = slt.eval_transfer(sys, s + alpha)
+    assert _rel(slt.eval_transfer(shifted, s), H) <= 1e-9
+    back = slt.alpha_backsubstitute(shifted, alpha)
+    for name in ("M", "B_u", "C_v"):
+        assert np.array_equal(getattr(back, name), getattr(sys, name))
+    for name in ("E", "K", "C_p"):
+        assert (np.linalg.norm(getattr(back, name) - getattr(sys, name))
+                <= 1e-13 * np.linalg.norm(getattr(shifted, name)))
+
+
+@DETERMINISTIC
+@given(sys=second_order_systems(), seed=st.integers(0, 2**32 - 1), omegas=FREQS)
+def test_choice_of_J_keeps_the_transfer_function(sys, seed, omegas):
+    # J = I, J = -K and a random well-conditioned J realize the same H(s)
+    rng = np.random.default_rng(seed)
+    Q = spla.qr(rng.standard_normal((sys.n, sys.n)))[0]
+    J = Q * np.exp(0.5 * rng.standard_normal(sys.n))
+    s = 1j * np.array(omegas)
+    H = slt.eval_transfer(sys, s)
+    for j in ("identity", "neg_k", J):
+        assert _rel(slt.eval_transfer(slt.first_companion(sys, j=j), s), H) <= 1e-9

@@ -657,8 +657,11 @@ def test_check_stability(monkeypatch):
     assert rep.marginal.size == 2
     assert rep.is_c_stable == (rep.max_real_part < 0)
 
-    with pytest.raises(errors.DimensionTooLarge):  # checked before the memo
-        slt.check_stability(sys, guard=10)
+    # N = 5002: refused before any eigensolve of the 2501-mass chain
+    eigensolves.clear()
+    with pytest.raises(errors.DimensionTooLarge):
+        slt.check_stability(slt.generate_chain(2501))
+    assert not eigensolves
 
 
 def test_pencil_eigenvalues_cached():
