@@ -44,12 +44,16 @@ def _parse_intervals(text):
     return out
 
 
+def _unit_scale(unit):
+    """rad/s per unit of frequency, for the units ``hz`` and ``rad``."""
+    if unit not in ("hz", "rad"):
+        raise InvalidParams(f"unknown frequency unit {unit!r}")
+    return TWO_PI if unit == "hz" else 1.0
+
+
 def _band_from(intervals, unit):
-    if unit == "hz":
-        return FrequencyBand.from_hz(intervals)
-    if unit == "rad":
-        return FrequencyBand(intervals)
-    raise InvalidParams(f"unknown frequency unit {unit!r}")
+    scale = _unit_scale(unit)
+    return FrequencyBand([(scale * lo, scale * hi) for lo, hi in intervals])
 
 
 def cmd_generate(args):
@@ -129,7 +133,7 @@ def _load_job(path):
         h = job["hybrid"]
         if not set(h) <= {"points", "fmin", "fmax", "unit", "tol"}:
             raise InvalidParams("bad key inside 'hybrid'")
-        scalefac = TWO_PI if h.get("unit", "hz") == "hz" else 1.0
+        scalefac = _unit_scale(h.get("unit", "hz"))
         omegas = np.logspace(np.log10(_number(h["fmin"], "fmin") * scalefac),
                              np.log10(_number(h["fmax"], "fmax") * scalefac),
                              _number(h.get("points", 200), "points", numbers.Integral))
@@ -193,7 +197,7 @@ def _summarize(summary, path, code=0):
 def cmd_analyze(args):
     orig, _ = load_bundle(args.original)
     rom, _ = load_bundle(args.reduced)
-    scale = TWO_PI if args.unit == "hz" else 1.0
+    scale = _unit_scale(args.unit)
     band = None
     if args.band:
         band = _band_from(_parse_intervals(args.band), args.unit)

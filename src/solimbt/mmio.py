@@ -4,8 +4,10 @@ A bundle directory holds ``M.mtx``, ``E.mtx``, ``K.mtx`` (coordinate format,
 nonzero entries in row-major order), ``B.mtx``, ``Cp.mtx``, ``Cv.mtx`` (array
 format) and ``system.json`` with ``{n, m, p, name}``.  Values are written with
 17 significant digits so a write/read cycle reproduces every float
-bit-exactly.  ``M``, ``E`` and ``K`` load as ``scipy.sparse.csc_array``, so
-shifted solves with a loaded model stay sparse.
+bit-exactly.  ``M``, ``E`` and ``K`` load dense when each stored pattern is
+at least half full, as a reduced model's is, so its sweeps and simulations
+take the dense paths; otherwise they load as ``scipy.sparse.csc_array``, so
+shifted solves with a large model stay sparse.
 """
 
 import json
@@ -20,6 +22,9 @@ from .system import make_second_order
 
 _SPARSE = ("M", "E", "K")
 _DENSE = ("B", "Cp", "Cv")
+# least share of stored entries in every one of M, E and K for a bundle to
+# load them dense
+DENSE_FILL_MIN = 0.5
 
 
 def save_bundle(directory, sys, name="model"):
@@ -51,7 +56,9 @@ def load_bundle(directory):
     """Read a model bundle back; returns ``(system, name)``.
 
     ``M``, ``E`` and ``K`` in coordinate format (as written by
-    :func:`save_bundle`) come back as ``scipy.sparse.csc_array``.
+    :func:`save_bundle`) come back as dense arrays when each stores at least
+    ``DENSE_FILL_MIN`` of its entries, and as ``scipy.sparse.csc_array``
+    otherwise.
 
     Raises
     ------
@@ -71,6 +78,10 @@ def load_bundle(directory):
             mats[key] = A
     except (OSError, ValueError) as exc:
         raise IoError(f"cannot read bundle from {directory}: {exc}") from exc
+    if all(scipy.sparse.issparse(mats[k])
+           and mats[k].nnz >= DENSE_FILL_MIN * np.prod(mats[k].shape)
+           for k in _SPARSE):
+        mats.update((k, mats[k].toarray()) for k in _SPARSE)
     sys = make_second_order(mats["M"], mats["E"], mats["K"],
                             mats["B"], mats["Cp"], mats["Cv"])
     for key, val in (("n", sys.n), ("m", sys.m), ("p", sys.p)):

@@ -73,8 +73,9 @@ def hybrid_prereduce(sys, omegas, tol=1e-12):
     orthonormalizes with a rank cut at ``tol`` relative.  The congruence
     ``V^T (.) V`` preserves symmetry and definiteness, and the pre-reduced
     model interpolates the original transfer function at every sample point.
-    Sparse ``M, E, K`` stay sparse here (one SuperLU factorization per
-    sample point); the pre-reduced model is dense.
+    Sparse ``M, E, K`` stay sparse here (one factorization per sample
+    point, LAPACK's band LU for a banded pattern and SuperLU otherwise);
+    the pre-reduced model is dense.
 
     Returns ``(pre_sys, V)``.
 

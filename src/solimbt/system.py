@@ -12,11 +12,14 @@ either the first companion form (free invertible coupling block ``J``) or,
 for symmetric positive definite ``M, E, K``, a strictly dissipative
 realization whose symmetric part is definite.
 
-``M``, ``E`` and ``K`` may be sparse (:func:`generate_chain` and loaded
-bundles are); the first-order realizations built on them are dense.
-:func:`_lu` alone picks SuperLU or LAPACK to factor ``s^2 M + s E + K``
-point by point, the simulation step matrix or ``M``, and :func:`simulate`
-steps every model in one loop in which only the solve of a step differs.
+``M``, ``E`` and ``K`` may be sparse (:func:`generate_chain` and sparse
+loaded bundles are); the first-order realizations built on them are dense.
+:func:`_shifted_solves` alone factors ``s^2 M + s E + K`` point by point:
+LAPACK ``gbtrf`` when a sparse pattern is banded, SuperLU for any other
+sparse pattern, LAPACK ``getrf``/``gesv`` when dense.  :func:`_lu` picks
+SuperLU or LAPACK for the one-off factorizations of the simulation step
+matrix and ``M``, and :func:`simulate` steps every model in one loop in
+which only the solve of a step differs.
 """
 
 from dataclasses import dataclass, field, replace
@@ -420,6 +423,37 @@ def _common_pattern(mats):
     return pattern.indptr, pattern.indices, datas
 
 
+# least share of its band a sparse pattern fills for a sweep to factor it
+# with LAPACK's band LU instead of SuperLU (MATLAB mldivide's default)
+BAND_DENSITY_MIN = 0.5
+
+
+def _band_scatter(indptr, indices):
+    """``(kl, ku, pos)`` for a square CSC pattern that fills at least
+    ``BAND_DENSITY_MIN`` of its band, else ``None``: the lower and upper
+    bandwidths and, per entry, its flat index in Fortran-ordered LAPACK band
+    storage of ``2 kl + ku + 1`` rows (``ab[kl + ku + i - j, j] = A[i, j]``;
+    the top ``kl`` rows take the fill-in of ``gbtrf``)."""
+    n = indptr.size - 1
+    cols = np.repeat(np.arange(n), np.diff(indptr))
+    offsets = indices - cols  # i - j
+    kl, ku = max(int(offsets.max()), 0), max(int(-offsets.min()), 0)
+    if indices.size < BAND_DENSITY_MIN * (kl + ku + 1) * n:
+        return None
+    return kl, ku, cols * (2 * kl + ku + 1) + (kl + ku + offsets)
+
+
+def _band_lu(ab, kl, ku):
+    """:func:`_lu` for a matrix in the band storage ``ab`` of
+    :func:`_band_scatter`, factored in place by LAPACK ``gbtrf``; ``None`` if
+    a pivot is exactly zero."""
+    gbtrf, gbtrs = spla.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+    lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
+    if info > 0:
+        return None
+    return lambda b, trans="N": gbtrs(lu, kl, ku, b, piv, trans="NTH".index(trans))[0]
+
+
 # bytes of the working block of the dense response paths: in
 # _shifted_solves the stacked operators of a chunk of points and the one
 # temporary of their size that building them takes (all 200 points of a
@@ -439,17 +473,21 @@ def _shifted_solves(obj, points, dual=False):
     ``None`` where ``A(s)`` is singular or a solution is not finite; callers
     raise their own typed error.
 
-    Sparse ``M, E, K``: the CSC pattern of ``M + E + K`` and the entries of
-    each matrix on it are built once, so a point costs one vector
-    combination and one SuperLU factorization.  Sparse, or ``dual``: each
-    point is factored once by :func:`_lu`, and ``D`` reuses the factors of
-    ``X``.  Dense, ``X`` alone: the
-    operators of a chunk of as many points as ``_CHUNK_BYTES`` holds are
-    stacked and solved by one ``numpy.linalg.solve`` call, which runs LAPACK
-    ``gesv`` on each slice of the stack and, unlike ``scipy.linalg.solve``,
-    neither estimates the condition nor looks for banded structure; a chunk
-    with a singular point is solved again point by point, by the same
-    ``gesv``, so a point's ``X`` does not depend on its chunk.
+    Sparse ``M, E, K``: the CSC pattern of ``M + E + K``, the entries of
+    each matrix on it and the choice of factorization are made once per
+    sweep, so a point costs one vector combination and one factorization.
+    A pattern that fills at least ``BAND_DENSITY_MIN`` of its band (a
+    chain, a diagonal) is scattered into LAPACK band storage and factored
+    by ``gbtrf``; any other pattern (a 2D or 3D mesh) by SuperLU.  Sparse,
+    or ``dual``: each point is factored once, and ``D`` reuses the factors
+    of ``X`` (``gbtrs``, or the solve of :func:`_lu`, with ``A^H``).
+    Dense, ``X`` alone: the operators of a chunk of as many points as
+    ``_CHUNK_BYTES`` holds are stacked and solved by one
+    ``numpy.linalg.solve`` call, which runs LAPACK ``gesv`` on each slice of
+    the stack and, unlike ``scipy.linalg.solve``, neither estimates the
+    condition nor looks for banded structure; a chunk with a singular point
+    is solved again point by point, by the same ``gesv``, so a point's ``X``
+    does not depend on its chunk.
     """
     first = isinstance(obj, FirstOrderRealization)
     B = (obj.calB if first else obj.B_u).astype(complex)
@@ -468,14 +506,26 @@ def _shifted_solves(obj, points, dual=False):
 
     if sparse:
         indptr, indices, (dM, dE, dK) = _common_pattern((obj.M, obj.E, obj.K))
-        A = scipy.sparse.csc_array((dK.astype(complex), indices, indptr),
-                                   shape=obj.M.shape)
+        band = _band_scatter(indptr, indices)
+        if band is None:
+            A = scipy.sparse.csc_array((dK.astype(complex), indices, indptr),
+                                       shape=obj.M.shape)
+
+    def factor(s):
+        if not sparse:
+            return _lu(operator(s))
+        data = s * s * dM + s * dE + dK
+        if band is None:
+            A.data = data
+            return _lu(A)
+        kl, ku, pos = band
+        flat = np.zeros(obj.n * (2 * kl + ku + 1), dtype=complex)
+        flat[pos] = data
+        return _band_lu(flat.reshape(obj.n, -1).T, kl, ku)
 
     def pointwise():
         for s in points:
-            if sparse:
-                A.data = s * s * dM + s * dE + dK
-            solve = _lu(A if sparse else operator(s))
+            solve = factor(s)
             if solve is None:
                 yield None
                 continue
@@ -557,11 +607,12 @@ def _transfer(obj, pts):
 def eval_transfer(obj, s, skip_poles=False):
     """Evaluate the transfer function at one or several complex points.
 
-    A sparse model factors ``s^2 M + s E + K`` with SuperLU at each point.
-    A dense model, or a realization, stacks its operators for a chunk of
-    points and solves the chunk with one ``numpy.linalg.solve`` call; a
-    chunk with a pole in it is solved again point by point, so the pole
-    alone fails.
+    A sparse model factors ``s^2 M + s E + K`` at each point, with LAPACK's
+    band LU when its pattern is banded (a chain) and with SuperLU
+    otherwise.  A dense model, or a realization, stacks its operators for a
+    chunk of points and solves the chunk with one ``numpy.linalg.solve``
+    call; a chunk with a pole in it is solved again point by point, so the
+    pole alone fails.
 
     A :class:`SecondOrderSystem` remembers its latest set of points: asked
     again for exactly the same points, it returns a copy of the stored

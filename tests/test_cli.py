@@ -31,8 +31,8 @@ def test_bundle_roundtrip_is_bit_exact(tmp_path):
     assert name == "specimen"
     for orig, back in ((sys_a.M, loaded.M), (sys_a.E, loaded.E),
                        (sys_a.K, loaded.K)):
-        assert scipy.sparse.issparse(back)
-        assert np.array_equal(orig, back.toarray())
+        assert isinstance(back, np.ndarray)  # full patterns load dense
+        assert np.array_equal(orig, back)
     for orig, back in ((sys_a.B_u, loaded.B_u), (sys_a.C_p, loaded.C_p),
                        (sys_a.C_v, loaded.C_v)):
         assert np.array_equal(orig, back)
@@ -45,23 +45,43 @@ def test_bundle_roundtrip_is_bit_exact(tmp_path):
 
 
 def test_bundle_bytes_are_canonical(tmp_path):
-    # a dense save, a sparse load and a second save give the same bytes,
-    # also for nonsymmetric matrices, whose entry order could differ
+    # a dense save, a save of the same model with CSC matrices, and a load
+    # and a second save give the same bytes, also for nonsymmetric
+    # matrices, whose entry order could differ
     rng = np.random.default_rng(3)
     n = 4
     mats = [rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.6) + 3 * np.eye(n)
             for _ in range(3)]
     assert all(not np.array_equal(A, A.T) for A in mats)
-    sys_a = slt.make_second_order(*mats, rng.standard_normal((n, 1)),
-                                  rng.standard_normal((2, n)), np.zeros((2, n)))
+    maps = rng.standard_normal((n, 1)), rng.standard_normal((2, n)), np.zeros((2, n))
+    sys_a = slt.make_second_order(*mats, *maps)
     slt.save_bundle(tmp_path / "dense", sys_a)
+    slt.save_bundle(tmp_path / "sparse", slt.make_second_order(
+        *map(scipy.sparse.csc_array, mats), *maps))
     loaded, _ = slt.load_bundle(tmp_path / "dense")
-    assert scipy.sparse.issparse(loaded.M)
-    slt.save_bundle(tmp_path / "sparse", loaded)
+    assert isinstance(loaded.M, np.ndarray)  # 9 to 12 of 16 entries stored
+    slt.save_bundle(tmp_path / "loaded", loaded)
     for fname in ("M.mtx", "E.mtx", "K.mtx", "B.mtx", "Cp.mtx", "Cv.mtx",
                   "system.json"):
         assert (tmp_path / "dense" / fname).read_bytes() == \
-               (tmp_path / "sparse" / fname).read_bytes()
+               (tmp_path / "sparse" / fname).read_bytes() == \
+               (tmp_path / "loaded" / fname).read_bytes()
+
+
+def test_bundle_loads_dense_when_every_pattern_is_half_full(tmp_path):
+    # M = I fills half of a 2x2 pattern but a third of a 3x3 one; one
+    # sparser matrix keeps all three sparse
+    for n, dense in ((2, True), (3, False)):
+        chain = slt.generate_chain(n)
+        for name, M in (("chain", chain.M), ("full", np.ones((n, n)) + n * np.eye(n))):
+            sys_a = slt.make_second_order(M, chain.E.toarray(), chain.K.toarray(),
+                                          chain.B_u, chain.C_p, chain.C_v)
+            slt.save_bundle(tmp_path / f"{name}{n}", sys_a)
+            loaded, _ = slt.load_bundle(tmp_path / f"{name}{n}")
+            assert all(isinstance(A, np.ndarray) == (dense or name == "full")
+                       for A in (loaded.M, loaded.E, loaded.K))
+            assert np.array_equal(scipy.sparse.csc_array(loaded.M).toarray(),
+                                  scipy.sparse.csc_array(sys_a.M).toarray())
 
 
 def test_bundle_errors(tmp_path):
@@ -124,7 +144,7 @@ def test_reduce_job(tmp_path, capsys):
     assert len(report["sigma"]) <= 50
     assert "wall_time_s" in report and "timings" in report
     rom, _ = slt.load_bundle(tmp_path / "rom")
-    assert rom.n == 3
+    assert rom.n == 3 and isinstance(rom.M, np.ndarray)
 
 
 def test_reduce_job_tlbt(tmp_path):
@@ -182,13 +202,16 @@ def test_reduce_config_errors(tmp_path, capsys):
     {"method": "tlbt", "band": None, "window": {"t0": [0], "tf": 20}},
     {"order": {"tol": [1]}}, {"band": {"intervals": 5}},
     {"hybrid": {"fmin": "x", "fmax": 10}},
+    {"hybrid": {"fmin": 0.5, "fmax": 10, "unit": "Hz"}},
+    {"band": {"intervals": [[0.01, 0.05]], "unit": "Hz"}},
 ], ids=["modified-string", "fixed-float", "fixed-bool", "fixed-string",
         "gamma-string", "band-list", "input-number", "alpha-list",
         "alpha-string", "window-t0-list", "tol-list", "intervals-number",
-        "hybrid-fmin-string"])
+        "hybrid-fmin-string", "hybrid-unit-Hz", "band-unit-Hz"])
 def test_reduce_config_value_of_wrong_type(tmp_path, capsys, override):
-    # a value of the wrong JSON type is a config error: it neither crashes
-    # nor is coerced ("false" is a true string, 2.5 would run order 2)
+    # a value of the wrong JSON type, or a unit other than "hz" and "rad",
+    # is a config error: it neither crashes nor is coerced ("false" is a
+    # true string, 2.5 would run order 2, "Hz" would read as rad/s)
     model = str(tmp_path / "model")
     main(["generate", "--n", "10", "--out", model])
     cfg = _write_job(tmp_path / "job.json", **{

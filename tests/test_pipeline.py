@@ -309,7 +309,8 @@ def _same_report(a, b):
 
 def test_reports_compute_the_original_once(monkeypatch):
     # the sparse original is swept and stepped by the first pair of reports
-    # only; the dense ROM of the second pair needs no SuperLU at all
+    # only; the dense ROM of the second pair needs no sparse factorization
+    # (SuperLU or band LU) at all
     from solimbt import system
     sys = slt.generate_chain(30)
     t = np.linspace(0.0, 20.0, 201)
@@ -324,8 +325,9 @@ def test_reports_compute_the_original_once(monkeypatch):
     reports(sys, a)
     solves = count_calls(monkeypatch, system, "_shifted_solves")
     lus = count_calls(monkeypatch, scipy.sparse.linalg, "splu")
+    bands = count_calls(monkeypatch, system, "_band_lu")
     second = reports(sys, b)
-    assert len(solves) == 1 and solves[0] is b and lus == []
+    assert len(solves) == 1 and solves[0] is b and lus == bands == []
     fresh = reports(slt.generate_chain(30), b)
     assert all(_same_report(x, y) for x, y in zip(second, fresh))
 

@@ -268,19 +268,87 @@ def test_eval_transfer_at_pole():
         slt.eval_transfer(sys, 1j)
 
 
-def test_eval_transfer_at_pole_sparse():
-    # the same oscillator with sparse matrices: SuperLU meets an exactly
-    # singular factor, and the typed error comes without a warning
+def _sparse_oscillator(pattern):
+    """An undamped sparse model with the exact pole ``s = 1j`` whose pattern
+    takes the band LU (a unit mass on a unit spring) or SuperLU (three unit
+    masses, the outer two coupled by a spring: the diagonal and two
+    corners fill 5 of the 9 entries of their band)."""
     sp = scipy.sparse.csc_array
-    sys = slt.make_second_order(sp([[1.0]]), sp([[0.0]]), sp([[1.0]]), [[1.0]],
-                                [[1.0]], [[0.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(errors.SingularAtFrequency):
-            slt.eval_transfer(sys, 1j)
-        H = slt.eval_transfer(sys, np.array([0.5j, 1j]), skip_poles=True)
-    assert H[0, 0, 0] == pytest.approx(1.0 / 0.75)
-    assert np.isnan(H[1]).all()
+    if pattern == "band":
+        return slt.make_second_order(sp([[1.0]]), sp([[0.0]]), sp([[1.0]]),
+                                     [[1.0]], [[1.0]], [[0.0]])
+    K = sp([[1.5, 0.0, 0.5], [0.0, 2.0, 0.0], [0.5, 0.0, 1.5]])  # eigenvalue 1
+    return slt.make_second_order(sp(np.eye(3)), sp((3, 3)), K, np.ones((3, 1)),
+                                 np.ones((1, 3)), np.zeros((1, 3)))
+
+
+def test_eval_transfer_at_pole_sparse(monkeypatch):
+    # an exactly singular factor, band LU or SuperLU, gives the typed error
+    # without a warning, or a NaN block with skip_poles
+    bands = count_calls(monkeypatch, system, "_band_lu")
+    lus = count_calls(monkeypatch, scipy.sparse.linalg, "splu")
+    for pattern, counts in (("band", (3, 0)), ("superlu", (0, 3))):
+        sys = _sparse_oscillator(pattern)
+        bands.clear()
+        lus.clear()  # the singular-mass check of make_second_order
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.SingularAtFrequency):
+                slt.eval_transfer(sys, 1j)
+            H = slt.eval_transfer(sys, np.array([0.5j, 1j]), skip_poles=True)
+        assert (len(bands), len(lus)) == counts
+        assert_allclose(H[0], slt.eval_transfer(_dense(sys), 0.5j), rtol=1e-14)
+        assert np.isnan(H[1]).all()
+    assert slt.eval_transfer(_sparse_oscillator("band"), 0.5j)[0, 0] == \
+        pytest.approx(1.0 / 0.75)
+
+
+def _sparse_model(pattern, n=40):
+    """Sparse models whose sweeps take the band LU, except the closed chain's
+    (a spring between the first and the last mass), which takes SuperLU."""
+    chain = slt.generate_chain(n)
+    if pattern == "chain":
+        return chain
+    if pattern == "closed-chain":
+        e = np.zeros((n, 1))
+        e[0], e[-1] = 1.0, -1.0
+        return slt.make_second_order(chain.M, chain.E,
+                                     chain.K + scipy.sparse.csc_array(e @ e.T),
+                                     chain.B_u, chain.C_p, chain.C_v)
+    rng = np.random.default_rng(31)
+    offsets = [0] if pattern == "diagonal" else [-2, -1, 0, 1]  # kl = 2, ku = 1
+
+    def band(scale):  # diagonally dominant, so E's symmetric part is definite
+        diags = [4.0 + rng.random(n - abs(k)) if k == 0
+                 else rng.uniform(-0.5, 0.5, n - abs(k)) for k in offsets]
+        return scale * scipy.sparse.diags_array(diags, offsets=offsets, format="csc")
+
+    return slt.make_second_order(band(1.0), band(0.5), band(2.0),
+                                 rng.standard_normal((n, 2)),
+                                 rng.standard_normal((3, n)), rng.standard_normal((3, n)))
+
+
+@pytest.mark.parametrize("pattern", ["chain", "unsymmetric", "diagonal", "closed-chain"])
+def test_sparse_sweep_matches_dense(monkeypatch, pattern):
+    # X and the dual directions D of a sparse sweep, factored by the band LU
+    # or by SuperLU as the pattern decides, agree with the dense model's
+    sys = _sparse_model(pattern)
+    dense = _dense(sys)
+    pts = np.concatenate([1j * np.logspace(-2, 1, 9), [0.3 + 2.0j]])
+    bands = count_calls(monkeypatch, system, "_band_lu")
+    lus = count_calls(monkeypatch, scipy.sparse.linalg, "splu")
+    X = list(_shifted_solves(sys, pts))
+    XD = list(_shifted_solves(sys, pts, dual=True))
+    on_band = pattern != "closed-chain"
+    assert (len(bands), len(lus)) == ((2 * pts.size, 0) if on_band else (0, 2 * pts.size))
+
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    for x, (x2, d), xr, (_, dr) in zip(X, XD, _shifted_solves(dense, pts),
+                                       _shifted_solves(dense, pts, dual=True)):
+        assert np.array_equal(x, x2)
+        assert rel(x, xr) <= 1e-12 and rel(d, dr) <= 1e-12
 
 
 def test_transfer_memo_keeps_the_latest_grid(monkeypatch):
