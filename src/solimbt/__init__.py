@@ -32,6 +32,7 @@ from .lyapunov import (
     IndefiniteRhs,
     ldl_compress,
     solve_lyap_dense_oracle,
+    solve_lyap_pencil,
     solve_lyap_projection_dual,
     solve_lyap_sign_dual,
 )

@@ -35,7 +35,7 @@ from .errors import (
     SingularS,
 )
 from .gramians import infinite_gramians
-from .system import FirstOrderRealization, SecondOrderSystem, _lu, make_second_order
+from .system import FirstOrderRealization, _frozen, _lu, make_second_order
 
 FORMULAS = ("v", "fv", "vpm", "pm", "pv", "vp", "p", "so")
 
@@ -238,8 +238,7 @@ def first_order_bt(real, order_tol=1e-4, fixed_r=None):
     sq = 1.0 / np.sqrt(sigma[:r])
     W = LU * sq
     T = RV * sq
-    rom = FirstOrderRealization(
-        W.T @ real.calE @ T, W.T @ real.calA @ T, W.T @ real.calB,
-        real.calC @ T)
+    rom = FirstOrderRealization(*map(_frozen, (
+        W.T @ real.calE @ T, W.T @ real.calA @ T, W.T @ real.calB, real.calC @ T)))
     bound = 2.0 * float(np.sum(sigma[r:]))
     return FirstOrderRom(realization=rom, r=r, sigma=sigma, error_bound=bound)

@@ -134,8 +134,11 @@ def _load_job(path):
         if not set(h) <= {"points", "fmin", "fmax", "unit", "tol"}:
             raise InvalidParams("bad key inside 'hybrid'")
         scalefac = _unit_scale(h.get("unit", "hz"))
-        omegas = np.logspace(np.log10(_number(h["fmin"], "fmin") * scalefac),
-                             np.log10(_number(h["fmax"], "fmax") * scalefac),
+        lo, hi = (_number(h[key], key) * scalefac for key in ("fmin", "fmax"))
+        if not (0.0 < lo < np.inf and 0.0 < hi < np.inf):
+            raise InvalidParams(f"hybrid fmin and fmax must be positive and "
+                                f"finite, got {h['fmin']!r} and {h['fmax']!r}")
+        omegas = np.logspace(np.log10(lo), np.log10(hi),
                              _number(h.get("points", 200), "points", numbers.Integral))
         hybrid = (omegas, float(_number(h.get("tol", 1e-12), "tol")))
 

@@ -14,7 +14,10 @@ modified ``U |eta|^{1/2}`` ``I``                :func:`definite_surrogate`
 
 (observability analogously with ``calC^T``).  The modified factor comes
 from ``ldl_compress(G, S) = (U, diag(eta))`` of a band or window pair and
-dominates that right-hand side from above.
+dominates that right-hand side from above.  The builders and the sign
+solver ``lyapunov.solve_lyap_pencil`` all read the realization's one
+standard form ``X = calE^{-1} calA``, so ``calE`` is factored at most once
+per realization.
 """
 
 from dataclasses import dataclass, field
@@ -64,8 +67,7 @@ def _solve_pair(real, make_rhs, flavor, band=None, window=None, solver="sign"):
     factored ``(rhs_c, rhs_o)`` of a realization: the full one for the sign
     solver, the projected one for the projection solver."""
     if solver == "sign":
-        P, Q, info = lyapunov.solve_lyap_sign_dual(real.calE, real.calA,
-                                                   *make_rhs(real))
+        P, Q, info = lyapunov.solve_lyap_pencil(real, *make_rhs(real))
     elif solver == "projection":
         P, Q, info = lyapunov.solve_lyap_projection_dual(
             real, make_rhs, band=band, window=window)

@@ -2,14 +2,17 @@
 
 The workhorse is a matrix-sign-function iteration that solves the pair
 
-    calA X1 calE^T + calE X1 calA^T + G_c S_c G_c^T = 0,
-    calA^T X2 calE + calE^T X2 calA + G_o S_o G_o^T = 0
+    calA P calE^T + calE P calA^T + G_c S_c G_c^T = 0,
+    calA^T Q calE + calE^T Q calA + G_o S_o G_o^T = 0
 
-simultaneously (both equations share the same iteration matrices, so one
-inverse per step serves both).  Right-hand sides are kept in
-factored indefinite form ``G S G^T``, which is exactly what the limited
-balancing variants produce.  A dense Kronecker solver acts as an independent
-reference at small sizes.
+simultaneously in the standard form ``X = calE^{-1} calA`` that the
+realization forms once (Benner & Quintana-Orti, Numer. Algorithms 20,
+1999): ``X P + P X^T + (calE^{-1} G_c) S_c (calE^{-1} G_c)^T = 0`` and
+``X^T W + W X + G_o S_o G_o^T = 0`` with ``W = calE^T Q calE`` share the
+iterates of ``X``, so one inverse per step serves both.  Right-hand sides
+are kept in factored indefinite form ``G S G^T``, which is exactly what the
+limited balancing variants produce.  A dense Kronecker solver acts as an
+independent reference at small sizes.
 
 The rational-Krylov projection solver covers problems where dense sign
 iteration is too expensive: it Galerkin-projects the realization onto the
@@ -32,7 +35,7 @@ from .errors import (
     UnstablePencil,
     UnstableProjection,
 )
-from .system import FirstOrderRealization, _dual_directions
+from .system import FirstOrderRealization, _dual_directions, _frozen
 
 # Fixed settings of the sign iteration: it stops once the distance
 # ``||X_k + I||_F / sqrt(N)`` of the iterate from its limit ``-I`` is at
@@ -129,57 +132,30 @@ def ldl_compress(Z, Y, tol=1e-14):
     return Q @ V[:, keep], np.diag(w[keep])
 
 
-def solve_lyap_sign_dual(calE, calA, rhs_c, rhs_o):
-    """Sign-function iteration for the dual pair of generalized Lyapunov
-    equations with factored indefinite right-hand sides.
-
-    Solves with ``calE`` turn the pair into the standard-form equations
-    for ``X = calE^{-1} calA``; the iteration then takes one inverse per step.
-    Its settings are the module constants ``SIGN_TOL``, ``SIGN_MAXITER``
-    and ``COMPRESS_TOL``.
-
-    Parameters
-    ----------
-    calE, calA
-        Pencil matrices; the pencil must be c-stable for convergence.
-    rhs_c, rhs_o
-        :class:`IndefiniteRhs` factors of the controllability
-        (``G_c S_c G_c^T``) and observability (``G_o S_o G_o^T``) right-hand
-        sides.
-
-    Returns
-    -------
-    (P, Q, info)
-        :class:`GramianFactor` solutions of the two equations and a dict
-        with ``num_iter`` and the final relative error.
+def solve_lyap_sign_dual(X, rhs_c, rhs_o):
+    """Sign-function iteration for the dual pair of standard-form Lyapunov
+    equations ``X P + P X^T + G_c S_c G_c^T = 0`` and
+    ``X^T W + W X + G_o S_o G_o^T = 0`` with :class:`IndefiniteRhs` factors
+    ``rhs_c`` and ``rhs_o`` and a c-stable ``N x N`` ``X``.  Returns
+    ``(P, W, info)``: :class:`GramianFactor` solutions whose factors are the
+    compressed iterates, and a dict with ``num_iter`` and the final relative
+    error.  Its settings are the module constants ``SIGN_TOL``,
+    ``SIGN_MAXITER`` and ``COMPRESS_TOL``.
 
     Raises
     ------
     UnstablePencil
-        If ``calE`` or an iterate is singular, or the iteration diverges.
+        If an iterate is singular, or the iteration diverges.
     NotConverged
         If the cap of ``SIGN_MAXITER`` iterations is hit.
     """
-    A = np.asarray(calA, dtype=float)
-    E = np.asarray(calE, dtype=float)
-    N = A.shape[0]
-    if A.shape != (N, N) or E.shape != (N, N):
-        raise DimensionMismatch("calA and calE must be square and equal-sized")
+    X = np.asarray(X, dtype=float)
+    N = X.shape[0]
     B, Yc = rhs_c.G, rhs_c.S
     Ct, Yo = rhs_o.G, rhs_o.S
-    if B.shape[0] != N or Ct.shape[0] != N:
-        raise DimensionMismatch("right-hand side factors must have N rows")
+    if X.shape != (N, N) or B.shape[0] != N or Ct.shape[0] != N:
+        raise DimensionMismatch("X must be square and the factors must have its N rows")
 
-    # standard form in X = calE^{-1} calA: X P + P X^T + G S_c G^T = 0 with
-    # G = calE^{-1} G_c, and X^T W + W X + G_o S_o G_o^T = 0 with W = calE^T Q calE;
-    # spla.solve takes a fast path for a diagonal calE, which a plain LU would
-    # not, and one solve against [calA, G_c] factors an SPD calE only once
-    try:
-        XB = spla.solve(E, np.hstack([A, B]))
-    except spla.LinAlgError as exc:
-        raise UnstablePencil(
-            "singular calE; the pencil has an infinite eigenvalue") from exc
-    X, B = np.ascontiguousarray(XB[:, :N]), np.ascontiguousarray(XB[:, N:])
     ident = np.eye(N)
     norm_scale = max(spla.norm(X), np.sqrt(N))
     rel_err = spla.norm(X + ident) / np.sqrt(N)
@@ -212,10 +188,23 @@ def solve_lyap_sign_dual(calE, calA, rhs_c, rhs_o):
         raise NotConverged(f"sign iteration: rel error {rel_err:.3e} > "
                            f"{SIGN_TOL:.1e} after {num_iter} steps")
 
-    Z1 = B / np.sqrt(2.0)
-    Z2 = spla.solve(E, Ct, transposed=True) / np.sqrt(2.0)
+    # the iterated factors converge to those of 2 P and 2 W
     info = {"num_iter": num_iter, "rel_err": rel_err}
-    return GramianFactor(Z1, Yc), GramianFactor(Z2, Yo), info
+    return GramianFactor(B, 0.5 * Yc), GramianFactor(Ct, 0.5 * Yo), info
+
+
+def solve_lyap_pencil(real, rhs_c, rhs_o):
+    """``(P, Q, info)`` of the pencil pair of a realization (module docstring)
+    by :func:`solve_lyap_sign_dual` on ``real.standard_form()``, solving with
+    ``calE`` through ``real.solve_calE``.  Raises ``UnstableRealization`` if
+    ``calE`` is singular, and otherwise as :func:`solve_lyap_sign_dual`."""
+    P, W, info = solve_lyap_sign_dual(
+        real.standard_form()[0], IndefiniteRhs(real.solve_calE(rhs_c.G), rhs_c.S), rhs_o)
+    # 1/sqrt(2) on the factors, not 1/2 on the cores: cholesky_like's QR, and so
+    # every reduced model, depends on that scaling to the last bit
+    return (GramianFactor(P.Z / np.sqrt(2.0), 2.0 * P.Y),
+            GramianFactor(real.solve_calE(W.Z, trans="T") / np.sqrt(2.0), 2.0 * W.Y),
+            info)
 
 
 def solve_lyap_dense_oracle(calA, calE, rhs):
@@ -278,7 +267,7 @@ def solve_lyap_projection_dual(real, make_rhs, band=None, window=None,
     (one LU per shift serves both), Galerkin-projects the realization to
     ``(V^T calE V, V^T calA V, V^T calB, calC V)``, builds the right-hand
     sides on it with ``make_rhs(small) -> (rhs_c, rhs_o)`` and solves the
-    small pair with :func:`solve_lyap_sign_dual`.  The subspace grows in
+    small pair with :func:`solve_lyap_pencil`.  The subspace grows in
     batches of ``batch`` shifts until the traces of both Gramians change by
     at most 1e-8 relatively, or until the basis spans the whole space.
 
@@ -315,13 +304,13 @@ def solve_lyap_projection_dual(real, make_rhs, band=None, window=None,
         raw.append(_dual_directions(real, 1j * shifts[start:start + batch],
                                     UnstablePencil))
         V = spla.orth(np.hstack(raw))
-        small = FirstOrderRealization(V.T @ real.calE @ V, V.T @ real.calA @ V,
-                                      V.T @ real.calB, real.calC @ V)
+        small = FirstOrderRealization(*map(_frozen, (
+            V.T @ real.calE @ V, V.T @ real.calA @ V, V.T @ real.calB, real.calC @ V)))
         if np.max(small.pencil_eigenvalues().real) >= 0.0:
             raise UnstableProjection(
                 "projected pencil not c-stable; retry with the strictly "
                 "dissipative realization")
-        Ps, Qs, _ = solve_lyap_sign_dual(small.calE, small.calA, *make_rhs(small))
+        Ps, Qs, _ = solve_lyap_pencil(small, *make_rhs(small))
         traces = np.array([Ps.trace(), Qs.trace()])
         settled = bool(trace_history) and np.all(
             np.abs(traces - trace_history[-1]) <= 1e-8 * np.abs(traces))

@@ -267,18 +267,6 @@ def logm_principal(A):
     return L
 
 
-def _pencil_matrix(real):
-    """``(calE^{-1} calA, calE^{-1} calB)`` from one solve against the
-    stacked ``[calA, calB]``; ``spla.solve`` keeps its fast path for a
-    diagonal ``calE``."""
-    try:
-        XB = spla.solve(real.calE, np.hstack([real.calA, real.calB]))
-    except spla.LinAlgError as exc:
-        raise UnstableRealization(
-            "singular calE; the pencil has an infinite eigenvalue") from exc
-    return np.ascontiguousarray(XB[:, :real.N]), np.ascontiguousarray(XB[:, real.N:])
-
-
 def _band_logarithm(X, band):
     """``log(G)`` of the band product as the maps ``Y -> log(G) Y`` and
     ``Y -> Y log(G)``.
@@ -327,7 +315,8 @@ def freq_limited_rhs(real, band):
     A single interval starting at zero takes the symmetric-band
     simplification ``R = Re((i/pi) log(-calE^{-1} calA - i w I))``; the
     general case takes one logarithm of the interval product.  ``log(G)``
-    comes from one eigendecomposition of ``calE^{-1} calA``, or from the
+    comes from one eigendecomposition of ``X = calE^{-1} calA`` of
+    ``real.standard_form()``, or from the
     complex Schur form and ``logm_principal`` when the eigenvectors are too
     ill-conditioned (``EIG_RCOND_MIN``, see the module docstring).  All
     factors are applied to thin blocks; no N x N product is formed.
@@ -340,7 +329,7 @@ def freq_limited_rhs(real, band):
         If an eigenvalue of the band product lies on the closed negative
         real axis (the tolerance of ``logm_principal``).
     """
-    X, EinvB = _pencil_matrix(real)
+    X, EinvB = real.standard_form()
     log_times, times_log = _band_logarithm(X, band)
     # R is real, so R Y = Re((i/pi) log(G) Y) for a real block Y
     RB = np.real((1j / np.pi) * log_times(EinvB))
@@ -355,7 +344,8 @@ def time_limited_rhs(real, window):
     ``IndefiniteRhs.difference(C_t0^T, C_tf^T)`` with the propagated maps
     ``B_t = exp(calA calE^{-1} t) calB`` and ``C_t = calC exp(calE^{-1} calA t)``.
 
-    With ``X = calE^{-1} calA``, ``B_t = calE exp(X t) calE^{-1} calB`` and
+    With ``(X, calE^{-1} calB)`` of ``real.standard_form()``,
+    ``B_t = calE exp(X t) calE^{-1} calB`` and
     ``C_t^T = exp(X^T t) calC^T`` are actions of the exponential on thin
     blocks, which ``expm(A, B)`` evaluates by Taylor steps without forming
     ``exp(X t)``.  When their Taylor bounds together exceed one dense
@@ -375,7 +365,7 @@ def time_limited_rhs(real, window):
             f"time-limited right-hand side needs a finite window, got "
             f"[{window.t0}, {window.tf}]; use method bt for [0, inf)")
     calE, calB, calC = real.calE, real.calB, real.calC
-    X, EinvB = _pencil_matrix(real)
+    X, EinvB = real.standard_form()
 
     def maps(t):
         if t == 0.0:

@@ -87,6 +87,8 @@ def hybrid_prereduce(sys, omegas, tol=1e-12):
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1 or omegas.size == 0:
         raise InvalidParams("need a non-empty 1d array of sample frequencies")
+    if not np.all((omegas > 0.0) & np.isfinite(omegas)):
+        raise InvalidParams("sample frequencies must be positive and finite")
     V = spla.orth(_dual_directions(sys, 1j * omegas, SingularShiftedSystem),
                   rcond=tol)
     pre = make_second_order(
@@ -137,6 +139,10 @@ class ReductionConfig:
             raise InvalidParams(f"unknown realization {self.realization!r}")
         if self.solver not in ("sign", "projection"):
             raise InvalidParams(f"unknown solver {self.solver!r}")
+        if not self.alpha >= 0.0:
+            raise InvalidParams(f"alpha must be nonnegative, got {self.alpha!r}")
+        if not self.order_tol > 0.0:
+            raise InvalidParams(f"order tolerance must be positive, got {self.order_tol!r}")
         if not _none_or_number(self.fixed_order, numbers.Integral):
             raise InvalidParams(f"fixed order must be an integer, got {self.fixed_order!r}")
         if not _none_or_number(self.gamma, numbers.Real):

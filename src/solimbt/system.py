@@ -39,6 +39,7 @@ from .errors import (
     SingularAtFrequency,
     SingularJ,
     SingularMass,
+    UnstableRealization,
 )
 
 
@@ -171,6 +172,11 @@ class FirstOrderRealization:
 
     The four matrices are always dense arrays.  ``gamma`` holds the shift of
     a :func:`strictly_dissipative` realization and is ``None`` otherwise.
+
+    Treat instances as immutable: the realizations that solimbt builds
+    store read-only matrices.  Each instance caches its pencil eigenvalues,
+    its standard form and its solver with ``calE``; ``dataclasses.replace``
+    starts with empty caches.
     """
 
     calE: np.ndarray
@@ -178,7 +184,9 @@ class FirstOrderRealization:
     calB: np.ndarray
     calC: np.ndarray
     gamma: float | None = None
-    _eigs: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _eigs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _standard: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _solve: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def N(self):
@@ -197,6 +205,28 @@ class FirstOrderRealization:
         if self._eigs is None:
             self._eigs = spla.eig(self.calA, self.calE, right=False)
         return self._eigs
+
+    def solve_calE(self, Y, trans="N"):
+        """``calE^{-1} Y`` (``calE^{-T} Y`` for ``trans="T"``): a diagonal ``calE``
+        through ``scipy.linalg.solve``, which divides, any other by one :func:`_lu`.
+        Raises ``UnstableRealization`` if ``calE`` is singular."""
+        if self._solve is None:
+            E, d = self.calE, np.diagonal(self.calE)
+            if np.count_nonzero(E) > np.count_nonzero(d):
+                self._solve = _lu(E)
+            elif np.all(d):
+                self._solve = lambda b, trans="N": spla.solve(E, b)
+            if self._solve is None:
+                raise UnstableRealization("singular calE: an infinite pencil eigenvalue")
+        return self._solve(Y, trans)
+
+    def standard_form(self):
+        """``(X, calE^{-1} calB)`` with ``X = calE^{-1} calA`` from one solve; read-only."""
+        if self._standard is None:
+            XB = self.solve_calE(np.hstack([self.calA, self.calB]))
+            self._standard = tuple(_frozen(np.ascontiguousarray(blk))
+                                   for blk in np.hsplit(XB, [self.N]))
+        return self._standard
 
 
 @dataclass
@@ -308,7 +338,7 @@ def first_companion(sys, j="identity"):
     calA = np.block([[np.zeros((n, n)), J], [-sys.K, -sys.E]])
     calB = np.vstack([np.zeros((n, sys.m)), sys.B_u])
     calC = np.hstack([sys.C_p, sys.C_v])
-    return FirstOrderRealization(calE, calA, calB, calC)
+    return FirstOrderRealization(*map(_frozen, (calE, calA, calB, calC)))
 
 
 def _check_spd(A, name, tol=1e-10):
@@ -370,7 +400,7 @@ def strictly_dissipative(sys, gamma=None):
     calA = np.block([[-g * K, K - g * E], [-K, -E + g * M]])
     calB = np.vstack([g * sys.B_u, sys.B_u])
     calC = np.hstack([sys.C_p, sys.C_v])
-    return FirstOrderRealization(calE, calA, calB, calC, gamma=g)
+    return FirstOrderRealization(*map(_frozen, (calE, calA, calB, calC)), gamma=g)
 
 
 def dissipative_backtransform_matrix(sys, gamma):

@@ -118,7 +118,7 @@ def test_criterion_04_sign_solver_vs_dense_oracle():
                             [np.eye(2), np.zeros((2, 2))]])
         rhs_c = slt.IndefiniteRhs(rng.standard_normal((N, 4)), sig)
         rhs_o = slt.IndefiniteRhs(rng.standard_normal((N, 4)), sig.copy())
-        P, Q, _ = slt.solve_lyap_sign_dual(real.calE, real.calA, rhs_c, rhs_o)
+        P, Q, _ = slt.solve_lyap_pencil(real, rhs_c, rhs_o)
         X_ref = slt.solve_lyap_dense_oracle(real.calA, real.calE, rhs_c.dense())
         Y_ref = slt.solve_lyap_dense_oracle(real.calA.T, real.calE.T,
                                             rhs_o.dense())

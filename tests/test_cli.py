@@ -204,14 +204,19 @@ def test_reduce_config_errors(tmp_path, capsys):
     {"hybrid": {"fmin": "x", "fmax": 10}},
     {"hybrid": {"fmin": 0.5, "fmax": 10, "unit": "Hz"}},
     {"band": {"intervals": [[0.01, 0.05]], "unit": "Hz"}},
+    {"alpha": -1}, {"order": {"tol": -1}}, {"order": {"tol": 0}},
+    {"hybrid": {"fmin": -1, "fmax": 10}}, {"hybrid": {"fmin": 0.5, "fmax": np.inf}},
 ], ids=["modified-string", "fixed-float", "fixed-bool", "fixed-string",
         "gamma-string", "band-list", "input-number", "alpha-list",
         "alpha-string", "window-t0-list", "tol-list", "intervals-number",
-        "hybrid-fmin-string", "hybrid-unit-Hz", "band-unit-Hz"])
+        "hybrid-fmin-string", "hybrid-unit-Hz", "band-unit-Hz",
+        "alpha-negative", "tol-negative", "tol-zero", "hybrid-fmin-negative",
+        "hybrid-fmax-infinite"])
 def test_reduce_config_value_of_wrong_type(tmp_path, capsys, override):
-    # a value of the wrong JSON type, or a unit other than "hz" and "rad",
-    # is a config error: it neither crashes nor is coerced ("false" is a
-    # true string, 2.5 would run order 2, "Hz" would read as rad/s)
+    # a value of the wrong JSON type or out of range, or a unit other than
+    # "hz" and "rad", is a config error: it neither crashes, runs nor is
+    # coerced ("false" is a true string, 2.5 would run order 2, "Hz" would
+    # read as rad/s, alpha -1 would run unshifted)
     model = str(tmp_path / "model")
     main(["generate", "--n", "10", "--out", model])
     cfg = _write_job(tmp_path / "job.json", **{

@@ -11,7 +11,7 @@ import solimbt as slt
 from solimbt import errors
 from solimbt.gramians import definite_surrogate
 
-from helpers import min_eig, rhs_blocks, stable_generic
+from helpers import count_calls, min_eig, rhs_blocks, stable_generic
 
 
 def _scalar_so(M=1.0, E=2.0, K=1.0):
@@ -154,18 +154,18 @@ def test_modified_validation():
 
 
 @pytest.mark.parametrize("solve, error", [
-    (lambda real: slt.solve_lyap_sign_dual(real.calE, real.calA,
-                                           slt.IndefiniteRhs.definite(real.calB),
-                                           slt.IndefiniteRhs.definite(real.calC.T)),
-     errors.UnstablePencil),
-    (slt.infinite_gramians, errors.UnstablePencil),
     (lambda real: slt.frequency_limited_gramians(real, slt.FrequencyBand([(0.0, 1.0)])),
      errors.UnstableRealization),
     (lambda real: slt.time_limited_gramians(real, slt.TimeWindow(0.0, 1.0)),
      errors.UnstableRealization),
+    (lambda real: slt.solve_lyap_pencil(real, slt.IndefiniteRhs.definite(real.calB),
+                                        slt.IndefiniteRhs.definite(real.calC.T)),
+     errors.UnstableRealization),
+    (slt.infinite_gramians, errors.UnstableRealization),
 ])
 def test_singular_calE_raises_typed_error(solve, error):
-    # calE = diag(1, 0): an infinite pencil eigenvalue, caught before any step
+    # calE = diag(1, 0): an infinite pencil eigenvalue, caught by the
+    # realization's one solver with calE before any step
     real = slt.FirstOrderRealization(np.diag([1.0, 0.0]), -np.eye(2),
                                      np.ones((2, 1)), np.ones((1, 2)))
     with warnings.catch_warnings():
@@ -173,6 +173,23 @@ def test_singular_calE_raises_typed_error(solve, error):
         with pytest.raises(error, match="singular calE") as info:
             solve(real)
     assert info.value.category == "numerical"  # CLI exit code 3
+
+
+@pytest.mark.parametrize("build, factored", [
+    (slt.strictly_dissipative, True), (slt.first_companion, False)])
+def test_pairs_factor_calE_once_unless_diagonal(monkeypatch, build, factored):
+    # the builders and the sign solver of the bt, flbt and tlbt pairs read
+    # one realization's standard form and calE solver: the SPD calE of the
+    # dissipative form is factored once, and the diagonal calE of a chain's
+    # companion form never (scipy's solve divides by it)
+    lus = count_calls(monkeypatch, slt.system, "_lu")
+    solves = count_calls(monkeypatch, spla, "solve")
+    real = build(slt.generate_chain(30))
+    slt.infinite_gramians(real)
+    slt.frequency_limited_gramians(real, slt.FrequencyBand.from_hz([(1.0, 100.0)]))
+    slt.time_limited_gramians(real, slt.TimeWindow(0.0, 20.0))
+    assert [a is real.calE for a in lus] == [True] * factored
+    assert any(a is real.calE for a in solves) is not factored
 
 
 def test_partition_roundtrip():

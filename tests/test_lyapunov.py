@@ -67,11 +67,10 @@ def test_indefinite_rhs():
 # -------------------------------------------------------------- sign iteration
 
 def test_sign_scalar_frozen():
-    # x' = -2x, B = 2, C = 1: P = B^2 / 4 = 1 and Q = 1/4.
-    E = np.array([[1.0]])
-    A = np.array([[-2.0]])
+    # x' = -2x, B = 2, C = 1: P = B^2 / 4 = 1 and Q = 1/4 (calE = 1, so X = A
+    # and W = Q).
     P, Q, info = slt.solve_lyap_sign_dual(
-        E, A, slt.IndefiniteRhs.definite(np.array([[2.0]])),
+        np.array([[-2.0]]), slt.IndefiniteRhs.definite(np.array([[2.0]])),
         slt.IndefiniteRhs.definite(np.array([[1.0]])))
     assert P.matrix()[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert Q.matrix()[0, 0] == pytest.approx(0.25, abs=1e-13)
@@ -83,9 +82,8 @@ def test_sign_matches_oracle_definite():
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
         real = stable_generic(rng, 12, m=2, p=3)
-        P, Q, _ = slt.solve_lyap_sign_dual(
-            real.calE, real.calA,
-            slt.IndefiniteRhs.definite(real.calB),
+        P, Q, _ = slt.solve_lyap_pencil(
+            real, slt.IndefiniteRhs.definite(real.calB),
             slt.IndefiniteRhs.definite(real.calC.T))
         Pref = slt.solve_lyap_dense_oracle(real.calA, real.calE,
                                            real.calB @ real.calB.T)
@@ -101,7 +99,7 @@ def test_sign_indefinite_rhs_and_residuals():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     rhs_c = slt.IndefiniteRhs(rng.standard_normal((10, 2)), swap)
     rhs_o = slt.IndefiniteRhs(rng.standard_normal((10, 2)), np.diag([1.0, -1.0]))
-    P, Q, _ = slt.solve_lyap_sign_dual(real.calE, real.calA, rhs_c, rhs_o)
+    P, Q, _ = slt.solve_lyap_pencil(real, rhs_c, rhs_o)
     rc = contr_residual(real.calA, real.calE, P.matrix(), rhs_c.dense())
     ro = obs_residual(real.calA, real.calE, Q.matrix(), rhs_o.dense())
     assert rc <= 1e-10 * spla.norm(rhs_c.dense())
@@ -109,11 +107,10 @@ def test_sign_indefinite_rhs_and_residuals():
 
 
 def test_sign_not_converged():
-    # An anti-stable pencil drives the iterate to +calE instead of -calE.
+    # An anti-stable X drives the iterate to +I instead of -I.
     one = np.array([[1.0]])
     with pytest.raises(errors.NotConverged):
-        slt.solve_lyap_sign_dual(one, one.copy(),
-                                 slt.IndefiniteRhs.definite(one),
+        slt.solve_lyap_sign_dual(one, slt.IndefiniteRhs.definite(one),
                                  slt.IndefiniteRhs.definite(one))
 
 
@@ -124,8 +121,7 @@ def test_sign_imaginary_axis_pencil():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(errors.UnstablePencil, match="singular iterate"):
-            slt.solve_lyap_sign_dual(np.eye(2), A,
-                                     slt.IndefiniteRhs.definite(G),
+            slt.solve_lyap_sign_dual(A, slt.IndefiniteRhs.definite(G),
                                      slt.IndefiniteRhs.definite(G))
 
 
@@ -144,11 +140,11 @@ def test_sign_chain_iteration_count(build):
 def test_sign_dimension_checks():
     one = np.array([[1.0]])
     with pytest.raises(errors.DimensionMismatch):
-        slt.solve_lyap_sign_dual(np.eye(2), -np.eye(3),
+        slt.solve_lyap_sign_dual(-np.eye(2, 3),
                                  slt.IndefiniteRhs.definite(np.ones((3, 1))),
                                  slt.IndefiniteRhs.definite(np.ones((3, 1))))
     with pytest.raises(errors.DimensionMismatch):
-        slt.solve_lyap_sign_dual(one, -one,
+        slt.solve_lyap_sign_dual(-one,
                                  slt.IndefiniteRhs.definite(np.ones((2, 1))),
                                  slt.IndefiniteRhs.definite(one))
 

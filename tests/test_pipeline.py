@@ -58,8 +58,9 @@ def test_hybrid_prereduce_pole_and_validation():
         warnings.simplefilter("error")
         with pytest.raises(errors.SingularShiftedSystem):
             slt.hybrid_prereduce(undamped, np.array([1.0]))  # pole at +-i
-    with pytest.raises(errors.InvalidParams):
-        slt.hybrid_prereduce(undamped, np.array([]))
+    for omegas in ([], [-1.0, 1.0], [0.5, np.nan], [0.5, np.inf]):
+        with pytest.raises(errors.InvalidParams):
+            slt.hybrid_prereduce(undamped, np.array(omegas))
 
 
 def test_hybrid_prereduce_pole_sparse():
@@ -84,6 +85,9 @@ def test_config_validation():
         dict(solver="nope"),
         dict(method="bt", modified=True),
         dict(method="flbt", band=band, modified=True, solver="projection"),
+        dict(alpha=-1.0),
+        dict(order_tol=0.0),
+        dict(order_tol=-1.0),
     ]
     for kwargs in bad:
         with pytest.raises(errors.InvalidParams):

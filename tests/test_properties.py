@@ -87,7 +87,7 @@ def test_sign_matches_oracle_on_general_pencils(data, real):
     # controllability factor and the final calE^{-T} solve are exercised
     rhs_c = data.draw(factored_rhs(real.N))
     rhs_o = data.draw(factored_rhs(real.N))
-    P, Q, _ = slt.solve_lyap_sign_dual(real.calE, real.calA, rhs_c, rhs_o)
+    P, Q, _ = slt.solve_lyap_pencil(real, rhs_c, rhs_o)
     P_ref = slt.solve_lyap_dense_oracle(real.calA, real.calE, rhs_c.dense())
     Q_ref = slt.solve_lyap_dense_oracle(real.calA.T, real.calE.T, rhs_o.dense())
     assert _rel(P.matrix(), P_ref) <= 1e-9

@@ -106,6 +106,14 @@ def test_system_matrices_are_read_only_copies():
     M[0, 0] = B[0, 0] = Ms.data[0] = 7.0
     assert np.array_equal(dense.M, M0) and np.array_equal(sparse.M.toarray(), M0)
     assert dense.B_u[0, 0] == sparse.B_u[0, 0] == 1.0
+    # so are the matrices and the standard form of the realizations built
+    # on a system, whose caches would otherwise go stale
+    real = slt.first_companion(dense)
+    for r in (real, slt.strictly_dissipative(dense),
+              slt.first_order_bt(real, fixed_r=2).realization):
+        for buf in (r.calE, r.calA, r.calB, r.calC, *r.standard_form()):
+            with pytest.raises(ValueError, match="read-only"):
+                buf.flat[0] = 7
 
 
 def test_singular_mass_rejected():
@@ -739,6 +747,13 @@ def test_pencil_eigenvalues_cached():
     lam1 = real.pencil_eigenvalues()
     lam2 = real.pencil_eigenvalues()
     assert lam1 is lam2
+    # dataclasses.replace starts with empty caches
+    one = slt.FirstOrderRealization(np.eye(1), -np.eye(1), np.ones((1, 1)),
+                                    np.ones((1, 1)))
+    assert one.pencil_eigenvalues()[0] == one.standard_form()[0][0, 0] == -1.0
+    two = replace(one, calA=-2.0 * np.eye(1))
+    assert two.pencil_eigenvalues()[0] == two.standard_form()[0][0, 0] == -2.0
+    assert slt.check_stability(two).max_real_part == -2.0
 
 
 def test_dissipativity_bound_positive_for_spd(dim=5):
