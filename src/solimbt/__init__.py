@@ -31,7 +31,6 @@ from .lyapunov import (
     GramianFactor,
     IndefiniteRhs,
     ldl_compress,
-    solve_lyap_dense_oracle,
     solve_lyap_pencil,
     solve_lyap_projection_dual,
     solve_lyap_sign_dual,
@@ -42,7 +41,6 @@ from .matfun import (
     expm,
     freq_limited_rhs,
     logm_principal,
-    quadrature_gramian,
     time_limited_rhs,
 )
 from .mmio import load_bundle, save_bundle

@@ -21,7 +21,6 @@ on the projected realization with the same builders as the sign route, and
 runs the sign iteration there.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +29,6 @@ import scipy.linalg as spla
 from .errors import (
     DimensionMismatch,
     NotConverged,
-    SingularOperator,
-    TooLarge,
     UnstablePencil,
     UnstableProjection,
 )
@@ -44,8 +41,6 @@ from .system import FirstOrderRealization, _dual_directions, _frozen
 SIGN_TOL = 1e-12
 SIGN_MAXITER = 100
 COMPRESS_TOL = 1e-14
-
-ORACLE_MAX_DIM = 60  # the oracle's Kronecker operator has N^4 entries
 
 
 @dataclass
@@ -205,46 +200,6 @@ def solve_lyap_pencil(real, rhs_c, rhs_o):
     return (GramianFactor(P.Z / np.sqrt(2.0), 2.0 * P.Y),
             GramianFactor(real.solve_calE(W.Z, trans="T") / np.sqrt(2.0), 2.0 * W.Y),
             info)
-
-
-def solve_lyap_dense_oracle(calA, calE, rhs):
-    """Dense Kronecker-product reference solver.
-
-    Solves ``calA X calE^T + calE X calA^T + rhs = 0`` by forming the
-    ``N^2 x N^2`` operator explicitly.  Deliberately naive and independent of
-    the factored solvers; intended for cross-checks only.
-
-    Raises
-    ------
-    TooLarge
-        For ``N > ORACLE_MAX_DIM``.
-    SingularOperator
-        If the operator is singular (pencil eigenvalues mirrored across the
-        imaginary axis).
-    """
-    A = np.asarray(calA, dtype=float)
-    E = np.asarray(calE, dtype=float)
-    R = np.asarray(rhs, dtype=float)
-    N = A.shape[0]
-    if N > ORACLE_MAX_DIM:
-        raise TooLarge(f"dense oracle limited to N <= {ORACLE_MAX_DIM}, got {N}")
-    if A.shape != (N, N) or E.shape != (N, N) or R.shape != (N, N):
-        raise DimensionMismatch("oracle operands must be square and equal-sized")
-    L = np.kron(E, A) + np.kron(A, E)
-    # scipy's structured fast paths can warn and return inf/nan on an exactly
-    # singular operator instead of raising, so judge by the residual either way
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore", spla.LinAlgWarning)
-        try:
-            x = spla.solve(L, -R.flatten(order="F"))
-        except spla.LinAlgError as exc:
-            raise SingularOperator("Lyapunov operator is singular") from exc
-        resid = np.linalg.norm(L @ x + R.flatten(order="F"))
-    if not np.isfinite(resid) or resid > 1e-6 * max(np.linalg.norm(R), 1.0):
-        raise SingularOperator("Lyapunov operator is numerically singular")
-    X = x.reshape((N, N), order="F")
-    return 0.5 * (X + X.T)
 
 
 def _default_shifts(band, window, real):

@@ -21,14 +21,11 @@ under the 1e-10 the results are held to), the complex Schur form and
 their action on the thin blocks ``calE^{-1} calB`` and ``calC^T`` is cheaper:
 truncated Taylor steps (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011)
 cost only products with ``calE^{-1} calA``, and a window endpoint takes one
-dense ``expm`` only when their bound exceeds ``EXPM_ACTION_MAX``.  A
-frequency-domain quadrature of the Gramian integral is provided as an
-independent cross-check of the matrix-function route.
+dense ``expm`` only when their bound exceeds ``EXPM_ACTION_MAX``.
 """
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as spla
@@ -383,54 +380,3 @@ def time_limited_rhs(real, window):
     B_tf, C_tf = maps(window.tf)
     return (IndefiniteRhs.difference(B_t0, B_tf),
             IndefiniteRhs.difference(C_t0.T, C_tf.T))
-
-
-@lru_cache(maxsize=4)
-def _gauss_legendre(points):
-    """Read-only Gauss-Legendre nodes and weights on ``[-1, 1]``; computed
-    once per point count (``leggauss`` runs an O(points^3) eigensolve)."""
-    x, w = np.polynomial.legendre.leggauss(points)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-def quadrature_gramian(real, band, points_per_interval=200, side="controllability"):
-    """Frequency-domain quadrature of a band-limited Gramian.
-
-    Composite Gauss-Legendre rule per interval applied to
-
-        P_Omega = (1/pi) * integral_Omega Re(R(w) R(w)^H) dw,
-        R(w) = (i w calE - calA)^{-1} calB,
-
-    (the symmetric negative half of the band is folded into the weights).
-    Returns a factor ``Z`` with ``P_Omega ~= Z Z^T``; the observability side
-    uses conjugate-transposed solves against ``calC^T``.  The solves are
-    stacked, 256 nodes at a time to bound memory.  Independent of the
-    matrix-logarithm route, so it serves as a cross-check oracle.
-    """
-    if side not in ("controllability", "observability"):
-        raise InvalidParams(f"unknown side {side!r}")
-    lam = real.pencil_eigenvalues()
-    lam = lam[np.isfinite(lam)]
-    if lam.size == 0 or np.max(lam.real) >= 0.0:
-        raise UnstableRealization("band-limited Gramian needs a c-stable pencil")
-    calE, calA = real.calE, real.calA
-    if side == "controllability":
-        G = real.calB.astype(complex)
-    else:
-        G = real.calC.conj().T.astype(complex)
-    cols = []
-    x, w = _gauss_legendre(points_per_interval)
-    for a, b in band.intervals:
-        nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
-        scales = np.sqrt(0.5 * (b - a) * w / np.pi)
-        for lo in range(0, nodes.size, 256):
-            hi = lo + 256
-            S = 1j * nodes[lo:hi, None, None] * calE - calA
-            if side == "observability":
-                S = S.conj().transpose(0, 2, 1)
-            R = scales[lo:hi, None, None] * np.linalg.solve(S, G)
-            # per node: real part, then imaginary part, as columns
-            cols.append(np.concatenate([R.real, R.imag], axis=2)
-                        .transpose(1, 0, 2).reshape(G.shape[0], -1))
-    return np.hstack(cols)

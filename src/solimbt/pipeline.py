@@ -139,6 +139,9 @@ class ReductionConfig:
             raise InvalidParams(f"unknown realization {self.realization!r}")
         if self.solver not in ("sign", "projection"):
             raise InvalidParams(f"unknown solver {self.solver!r}")
+        for name, value in (("alpha", self.alpha), ("order tolerance", self.order_tol)):
+            if value is None or not _none_or_number(value, numbers.Real):
+                raise InvalidParams(f"{name} must be a real number, got {value!r}")
         if not self.alpha >= 0.0:
             raise InvalidParams(f"alpha must be nonnegative, got {self.alpha!r}")
         if not self.order_tol > 0.0:

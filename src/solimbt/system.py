@@ -18,10 +18,11 @@ loaded bundles are); the first-order realizations built on them are dense.
 LAPACK ``gbtrf`` when a sparse pattern is banded, SuperLU for any other
 sparse pattern, LAPACK ``getrf``/``gesv`` when dense.  :func:`_lu` picks
 SuperLU or LAPACK for the one-off factorizations of the simulation step
-matrix and ``M``, and :func:`simulate` steps every model in one loop in
-which only the solve of a step differs.
+matrix and ``M``, and :func:`simulate` steps a sparse model one step at a
+time and a small dense one a group of steps per product.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -488,8 +489,9 @@ def _band_lu(ab, kl, ku):
 # _shifted_solves the stacked operators of a chunk of points and the one
 # temporary of their size that building them takes (all 200 points of a
 # sweep up to n = 18, one point from n = 182); in _trapezoid a block of
-# states.  It bounds memory: stacks of two and single solves took the same
-# time from n = 150 to 300 (one BLAS thread, 2-core Xeon)
+# states and the tables of its groups of steps.  It bounds memory: stacks
+# of two and single solves took the same time from n = 150 to 300 (one
+# BLAS thread, 2-core Xeon)
 _CHUNK_BYTES = 2**21
 
 
@@ -809,16 +811,19 @@ def simulate(obj, signal, t, return_states=False):
     which is the trapezoidal rule on any first companion form, with one
     ``n x n`` factorization instead of one of size ``2n``.  A
     :class:`FirstOrderRealization` is stepped on its pencil with
-    ``calE - h/2 calA``.  Every model runs the same stepping loop, and only
-    the solve of a step differs.  Sparse ``M``, ``E``, ``K`` stay sparse:
-    one SuperLU factorization of ``S``, then one solve with it and one CSR
+    ``calE - h/2 calA``.  Sparse ``M``, ``E``, ``K`` stay sparse: one
+    SuperLU factorization of ``S``, then one solve with it and one CSR
     product with ``[-h K, M - h/2 E - h^2/4 K]`` per step.  A dense model
     (either kind) solves with its LAPACK ``getrf`` once, for the step
-    matrix ``Phi`` of ``[x; v]`` (or of ``q``) and the input map, so a step
-    costs one product with ``Phi``:
+    matrix ``Phi`` of ``[x; v]`` (or of ``q``) and the input map:
     with ``P = S^{-1} [-h K, M - h/2 E - h^2/4 K]``,
     ``Phi = [[I, h/2 I] + h/2 P; P]``, and for a realization
-    ``Phi = (calE - h/2 calA)^{-1} (calE + h/2 calA)``.
+    ``Phi = (calE - h/2 calA)^{-1} (calE + h/2 calA)``.  With up to 32
+    states it advances a group of ``L = 256 // d`` steps per product with
+    a table of the powers ``Phi^1 ... Phi^L``, formed once per run, and
+    carries one state per group; with more states, or when a power
+    overflows, each step is one product with ``Phi``.  The outputs agree
+    with stepping to rounding, not bit for bit.
 
     A :class:`SecondOrderSystem` remembers its latest outputs: asked again
     for the same grid and input samples, it returns a copy of the stored
@@ -861,12 +866,21 @@ def simulate(obj, signal, t, return_states=False):
 
 def _trapezoid(obj, t, U, return_states=False):
     """The trapezoidal run of :func:`simulate` on a checked grid ``t`` with
-    input samples ``U``: ``q_1 = Gamma (u_0 + u_1) + advance(q_0)``, stepped
-    in blocks of ``_CHUNK_BYTES`` whose inputs are one product with
-    ``Gamma^T`` and outputs one with ``C^T``; only the last state is carried
-    to the next block unless every state is returned.  Only ``advance``
-    differs: one row product with the step matrix ``Phi`` for a dense
-    model, one SuperLU solve for the new velocity of a sparse one."""
+    input samples ``U``: ``q_k = w_k + advance(q_{k-1})`` with the input rows
+    ``w_k = (u_{k-1} + u_k) Gamma^T``, run in chunks of ``_CHUNK_BYTES``
+    whose inputs are one product with ``Gamma^T`` and outputs one with
+    ``C^T``; only the last state is carried to the next chunk unless every
+    state is returned.
+
+    A sparse model steps one row at a time with one SuperLU solve for the
+    new velocity.  A dense model takes groups of ``L`` steps (see
+    :func:`_step_tables`): a chunk's groups are one product of their input
+    rows with the Toeplitz table of the powers of ``Phi^T``, then one
+    ``d``-vector per group is carried in Python and added through
+    ``[Phi^T ... (Phi^T)^L]``.  Without tables it runs the loop of a sparse
+    model, with one row product with ``Phi^T`` per step.  A chunk with a
+    non-finite state is stepped again one row at a time from the state
+    carried into it, so the error names the step that the row loop finds."""
     h = t[1] - t[0]
     hh = 0.5 * h
     second_order = isinstance(obj, SecondOrderSystem)
@@ -888,7 +902,8 @@ def _trapezoid(obj, t, U, return_states=False):
         raise NonFiniteState(f"trapezoidal step matrix is singular: s={2.0 / h:.6g} "
                              "is a pole")
     Usum = U[:-1] + U[1:]
-    if scipy.sparse.issparse(lhs):  # a second-order model: z is the new velocity
+    sparse = scipy.sparse.issparse(lhs)
+    if sparse:  # a second-order model: z is the new velocity
         n = obj.n
         G = solve(hB)
 
@@ -907,26 +922,92 @@ def _trapezoid(obj, t, U, return_states=False):
         def advance(q, row):
             row += q @ PhiT
     Gamma = np.vstack([hh * G, G]) if second_order else G
-    q = np.zeros(rhs_mat.shape[1])
-    rows = max(1, _CHUNK_BYTES // (8 * q.size))
+    d = Gamma.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a power may overflow
+        tables = None if sparse else _step_tables(PhiT)
+    rows = max(1, (_CHUNK_BYTES - sum(a.nbytes for a in tables or ())) // (8 * d))
     Y = np.zeros((t.size, C.shape[0]))
-    states = np.zeros((t.size, q.size)) if return_states else None
+    states = np.zeros((t.size, d)) if return_states else None
+
+    def stepped(q, lo):
+        Q = Usum[lo - 1:lo - 1 + rows] @ Gamma.T
+        for row in Q:
+            advance(q, row)
+            q = row
+        return Q
+
+    def blocked(q, lo):
+        # q_{k0+j} = sum_{i<=j} w_{k0+i} (Phi^T)^(j-i) + q_{k0-1} (Phi^T)^(j+1)
+        # per group of L steps, its inputs zero-padded to whole groups
+        T, Pow = tables
+        L = T.shape[0] // d
+        Us = Usum[lo - 1:lo - 1 + rows]
+        groups = -(-len(Us) // L)
+        W = np.zeros((groups * L, d))
+        np.matmul(Us, Gamma.T, out=W[:len(Us)])
+        Q = (W.reshape(groups, L * d) @ T).reshape(-1, d)
+        del W
+        starts = np.empty((groups, d))  # the state carried into each group
+        starts[0] = q
+        for k in range(1, groups):
+            starts[k] = Q[k * L - 1] + starts[k - 1] @ Pow[:, -d:]
+        Q += (starts @ Pow).reshape(-1, d)
+        return Q[:len(Us)]
+
+    def chunk(q, lo):
+        Q = run(q, lo)
+        finite = np.isfinite(Q).all(axis=1)
+        if not finite.all() and run is blocked:
+            Q = stepped(q, lo)
+            finite = np.isfinite(Q).all(axis=1)
+        if not finite.all():
+            raise NonFiniteState("state became non-finite at "
+                                 f"t={t[lo + np.argmin(finite)]:.6g}")
+        Y[lo:lo + rows] = Q @ C.T
+        if return_states:
+            states[lo:lo + rows] = Q
+        return Q[-1].copy()  # a view would keep the whole chunk alive
+
+    run = stepped if tables is None else blocked
+    q = np.zeros(d)
     # a blowing-up state overflows quietly; the first non-finite state is
     # reported as a typed error instead
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(1, t.size, rows):
-            Q = Usum[lo - 1:lo - 1 + rows] @ Gamma.T
-            for row in Q:
-                advance(q, row)
-                q = row
-            finite = np.isfinite(Q).all(axis=1)
-            if not finite.all():
-                raise NonFiniteState("state became non-finite at "
-                                     f"t={t[lo + np.argmin(finite)]:.6g}")
-            Y[lo:lo + rows] = Q @ C.T
-            if return_states:
-                states[lo:lo + rows] = Q
+            q = chunk(q, lo)
     return Trajectory(times=t, outputs=Y, states=states)
+
+
+def _step_tables(PhiT):
+    """The tables of :func:`_trapezoid`'s groups of ``L`` steps of a dense
+    model with ``d`` states: the ``(L d) x (L d)`` block upper triangular
+    Toeplitz table whose block ``(i, j)`` is ``(Phi^T)^(j-i)`` for
+    ``j >= i``, and the ``d x (L d)`` row ``[Phi^T ... (Phi^T)^L]``.  ``L``
+    is the largest whose Toeplitz table takes at most a quarter of
+    ``_CHUNK_BYTES``.
+
+    ``None``, and the run steps one row at a time, when a power is not
+    finite or a group would hold fewer than 8 steps: the table's product
+    costs ``L`` row products per step, and groups of 5 steps (``d = 48``)
+    took longer than the row loop while groups of 8 (``d = 32``) took
+    0.7-0.8 of its time (2001 steps, min of 15, one BLAS thread, 2-core
+    Xeon)."""
+    d = PhiT.shape[0]
+    L = math.isqrt(_CHUNK_BYTES // 32) // d
+    if L < 8:
+        return None
+    powers = [PhiT]
+    for _ in range(L - 1):
+        powers.append(powers[-1] @ PhiT)
+    Pow = np.hstack(powers)
+    if not np.isfinite(Pow).all():
+        return None
+    T = np.zeros((L * d, L * d))
+    T[:d, :d] = np.eye(d)
+    T[:d, d:] = Pow[:, :-d]
+    for i in range(1, L):
+        T[i * d:(i + 1) * d, i * d:] = T[:d, :(L - i) * d]
+    return T, Pow
 
 
 STABILITY_MAX_DIM = 5000  # largest dimension of a dense stability eigensolve

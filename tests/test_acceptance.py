@@ -17,7 +17,8 @@ import solimbt as slt
 from solimbt import FirstOrderRealization, FrequencyBand, TimeWindow
 from solimbt.system import dissipative_backtransform_matrix
 
-from helpers import contr_residual, min_eig, obs_residual, stable_generic
+from helpers import (contr_residual, min_eig, obs_residual, quadrature_gramian,
+                     solve_lyap_dense_oracle, stable_generic)
 
 TWO_PI = 2.0 * np.pi
 
@@ -119,9 +120,9 @@ def test_criterion_04_sign_solver_vs_dense_oracle():
         rhs_c = slt.IndefiniteRhs(rng.standard_normal((N, 4)), sig)
         rhs_o = slt.IndefiniteRhs(rng.standard_normal((N, 4)), sig.copy())
         P, Q, _ = slt.solve_lyap_pencil(real, rhs_c, rhs_o)
-        X_ref = slt.solve_lyap_dense_oracle(real.calA, real.calE, rhs_c.dense())
-        Y_ref = slt.solve_lyap_dense_oracle(real.calA.T, real.calE.T,
-                                            rhs_o.dense())
+        X_ref = solve_lyap_dense_oracle(real.calA, real.calE, rhs_c.dense())
+        Y_ref = solve_lyap_dense_oracle(real.calA.T, real.calE.T,
+                                        rhs_o.dense())
         Pm, Qm = P.matrix(), Q.matrix()
         worst_rel = max(worst_rel, _rel(Pm, X_ref), _rel(Qm, Y_ref))
         nrm = spla.norm(real.calA) * spla.norm(real.calE)
@@ -145,9 +146,9 @@ def test_criterion_05_quadrature_cross_check():
         N = int(rng.integers(10, 21))
         real = stable_generic(rng, N)
         pair = slt.frequency_limited_gramians(real, band)
-        Zc = slt.quadrature_gramian(real, band, points_per_interval=2000)
-        Zo = slt.quadrature_gramian(real, band, points_per_interval=2000,
-                                    side="observability")
+        Zc = quadrature_gramian(real, band, points_per_interval=2000)
+        Zo = quadrature_gramian(real, band, points_per_interval=2000,
+                                side="observability")
         worst = max(worst,
                     _rel(Zc @ Zc.T, pair.controllability.matrix()),
                     _rel(Zo @ Zo.T, pair.observability.matrix()))
@@ -245,10 +246,10 @@ def test_criterion_09_realization_equivalence():
     small = slt.generate_chain(5)
     dreal = slt.strictly_dissipative(small)
     comp5 = slt.first_companion(small)
-    Qd = slt.solve_lyap_dense_oracle(dreal.calA.T, dreal.calE.T,
-                                     dreal.calC.T @ dreal.calC)
-    Qc = slt.solve_lyap_dense_oracle(comp5.calA.T, comp5.calE.T,
-                                     comp5.calC.T @ comp5.calC)
+    Qd = solve_lyap_dense_oracle(dreal.calA.T, dreal.calE.T,
+                                 dreal.calC.T @ dreal.calC)
+    Qc = solve_lyap_dense_oracle(comp5.calA.T, comp5.calE.T,
+                                 comp5.calC.T @ comp5.calC)
     T = dissipative_backtransform_matrix(small, dreal.gamma)
     worst_q = _rel(T.T @ Qd @ T, Qc)
     ok = worst_h <= 1e-6 and worst_q <= 1e-8

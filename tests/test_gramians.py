@@ -11,7 +11,7 @@ import solimbt as slt
 from solimbt import errors
 from solimbt.gramians import definite_surrogate
 
-from helpers import count_calls, min_eig, rhs_blocks, stable_generic
+from helpers import count_calls, min_eig, rhs_blocks, solve_lyap_dense_oracle, stable_generic
 
 
 def _scalar_so(M=1.0, E=2.0, K=1.0):
@@ -60,8 +60,8 @@ def test_scalar_unit_triple_frozen():
                     rtol=0, atol=1e-12)
     assert_allclose(pair.observability.matrix(),
                     np.array([[1.0, 0.5], [0.5, 0.5]]), rtol=0, atol=1e-12)
-    Pref = slt.solve_lyap_dense_oracle(real.calA, real.calE,
-                                       real.calB @ real.calB.T)
+    Pref = solve_lyap_dense_oracle(real.calA, real.calE,
+                                   real.calB @ real.calB.T)
     assert_allclose(pair.controllability.matrix(), Pref, atol=1e-12)
 
 
@@ -71,10 +71,10 @@ def test_band_pair_matches_oracle():
     band = slt.FrequencyBand([(0.4, 1.2), (2.0, 3.0)])
     pair = slt.frequency_limited_gramians(real, band)
     B_lim, _, C_lim, _ = rhs_blocks(slt.freq_limited_rhs(real, band))
-    Pref = slt.solve_lyap_dense_oracle(
+    Pref = solve_lyap_dense_oracle(
         real.calA, real.calE,
         B_lim @ real.calB.T + real.calB @ B_lim.T)
-    Qref = slt.solve_lyap_dense_oracle(
+    Qref = solve_lyap_dense_oracle(
         real.calA.T, real.calE.T,
         C_lim.T @ real.calC + real.calC.T @ C_lim)
     assert_allclose(pair.controllability.matrix(), Pref, rtol=1e-8, atol=1e-10)
@@ -88,10 +88,10 @@ def test_window_pair_matches_oracle():
     win = slt.TimeWindow(0.3, 2.0)
     pair = slt.time_limited_gramians(real, win)
     B_t0, B_tf, C_t0, C_tf = rhs_blocks(slt.time_limited_rhs(real, win))
-    Pref = slt.solve_lyap_dense_oracle(
+    Pref = solve_lyap_dense_oracle(
         real.calA, real.calE,
         B_t0 @ B_t0.T - B_tf @ B_tf.T)
-    Qref = slt.solve_lyap_dense_oracle(
+    Qref = solve_lyap_dense_oracle(
         real.calA.T, real.calE.T,
         C_t0.T @ C_t0 - C_tf.T @ C_tf)
     assert_allclose(pair.controllability.matrix(), Pref, rtol=1e-8, atol=1e-10)

@@ -11,7 +11,8 @@ import solimbt as slt
 from solimbt import errors
 from solimbt.lyapunov import ldl_compress
 
-from helpers import contr_residual, obs_residual, random_second_order, stable_generic
+from helpers import (contr_residual, obs_residual, random_second_order,
+                     solve_lyap_dense_oracle, stable_generic)
 
 
 # ------------------------------------------------------------------- factors
@@ -85,10 +86,10 @@ def test_sign_matches_oracle_definite():
         P, Q, _ = slt.solve_lyap_pencil(
             real, slt.IndefiniteRhs.definite(real.calB),
             slt.IndefiniteRhs.definite(real.calC.T))
-        Pref = slt.solve_lyap_dense_oracle(real.calA, real.calE,
-                                           real.calB @ real.calB.T)
-        Qref = slt.solve_lyap_dense_oracle(real.calA.T, real.calE.T,
-                                           real.calC.T @ real.calC)
+        Pref = solve_lyap_dense_oracle(real.calA, real.calE,
+                                       real.calB @ real.calB.T)
+        Qref = solve_lyap_dense_oracle(real.calA.T, real.calE.T,
+                                       real.calC.T @ real.calC)
         assert_allclose(P.matrix(), Pref, rtol=1e-9, atol=1e-11)
         assert_allclose(Q.matrix(), Qref, rtol=1e-9, atol=1e-11)
 
@@ -153,20 +154,20 @@ def test_sign_dimension_checks():
 
 def test_oracle_scalar():
     # -2x + 4 = 0 on both sides: X = 1
-    X = slt.solve_lyap_dense_oracle(np.array([[-2.0]]), np.array([[1.0]]),
-                                    np.array([[4.0]]))
+    X = solve_lyap_dense_oracle(np.array([[-2.0]]), np.array([[1.0]]),
+                                np.array([[4.0]]))
     assert X[0, 0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_oracle_guards():
     with pytest.raises(errors.TooLarge):
-        slt.solve_lyap_dense_oracle(-np.eye(61), np.eye(61), np.eye(61))
+        solve_lyap_dense_oracle(-np.eye(61), np.eye(61), np.eye(61))
     with pytest.raises(errors.DimensionMismatch):
-        slt.solve_lyap_dense_oracle(-np.eye(3), np.eye(3), np.eye(2))
+        solve_lyap_dense_oracle(-np.eye(3), np.eye(3), np.eye(2))
     # mirrored eigenvalues +1/-1 make the operator singular
     with pytest.raises(errors.SingularOperator):
-        slt.solve_lyap_dense_oracle(np.diag([1.0, -1.0]), np.eye(2),
-                                    np.eye(2))
+        solve_lyap_dense_oracle(np.diag([1.0, -1.0]), np.eye(2),
+                                np.eye(2))
 
 
 # ----------------------------------------------------------------- projection
@@ -177,10 +178,10 @@ def _definite_rhs(real):
 
 
 def _assert_pair_matches_oracle(real, P, Q, rtol, atol):
-    refP = slt.solve_lyap_dense_oracle(real.calA, real.calE,
-                                       real.calB @ real.calB.T)
-    refQ = slt.solve_lyap_dense_oracle(real.calA.T, real.calE.T,
-                                       real.calC.T @ real.calC)
+    refP = solve_lyap_dense_oracle(real.calA, real.calE,
+                                   real.calB @ real.calB.T)
+    refQ = solve_lyap_dense_oracle(real.calA.T, real.calE.T,
+                                   real.calC.T @ real.calC)
     assert_allclose(P.matrix(), refP, rtol=rtol, atol=atol)
     assert_allclose(Q.matrix(), refQ, rtol=rtol, atol=atol)
 

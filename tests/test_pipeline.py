@@ -88,6 +88,12 @@ def test_config_validation():
         dict(alpha=-1.0),
         dict(order_tol=0.0),
         dict(order_tol=-1.0),
+        dict(alpha="1"),                          # not a number
+        dict(alpha=None),
+        dict(alpha=True),                         # a bool is no number
+        dict(order_tol="1e-8"),
+        dict(order_tol=None),
+        dict(order_tol=True),
     ]
     for kwargs in bad:
         with pytest.raises(errors.InvalidParams):
@@ -95,6 +101,7 @@ def test_config_validation():
     slt.ReductionConfig(method="flbt", band=band).validate()
     slt.ReductionConfig(method="tlbt", window=win).validate()
     slt.ReductionConfig(solver="projection").validate()
+    slt.ReductionConfig(alpha=1, order_tol=np.float64(1e-6)).validate()
 
 
 def test_reduce_coupling_block_choices():

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import scipy.linalg as spla
+import scipy.sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,7 @@ import solimbt as slt
 from solimbt import matfun
 from solimbt.system import _rcond
 
-from helpers import random_second_order, rhs_blocks, stable_generic
+from helpers import random_second_order, rhs_blocks, solve_lyap_dense_oracle, stable_generic
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None,
                          max_examples=60)
@@ -88,17 +89,17 @@ def test_sign_matches_oracle_on_general_pencils(data, real):
     rhs_c = data.draw(factored_rhs(real.N))
     rhs_o = data.draw(factored_rhs(real.N))
     P, Q, _ = slt.solve_lyap_pencil(real, rhs_c, rhs_o)
-    P_ref = slt.solve_lyap_dense_oracle(real.calA, real.calE, rhs_c.dense())
-    Q_ref = slt.solve_lyap_dense_oracle(real.calA.T, real.calE.T, rhs_o.dense())
+    P_ref = solve_lyap_dense_oracle(real.calA, real.calE, rhs_c.dense())
+    Q_ref = solve_lyap_dense_oracle(real.calA.T, real.calE.T, rhs_o.dense())
     assert _rel(P.matrix(), P_ref) <= 1e-9
     assert _rel(Q.matrix(), Q_ref) <= 1e-9
 
 
 @st.composite
-def second_order_systems(draw):
-    """Second-order systems with SPD ``M, E, K`` (hence c-stable), n <= 6."""
+def second_order_systems(draw, n_max=6):
+    """Second-order systems with SPD ``M, E, K`` (hence c-stable), n <= n_max."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return random_second_order(rng, draw(st.integers(1, 6)),
+    return random_second_order(rng, draw(st.integers(1, n_max)),
                                m=draw(st.integers(1, 2)), p=draw(st.integers(1, 2)))
 
 
@@ -132,3 +133,19 @@ def test_choice_of_J_keeps_the_transfer_function(sys, seed, omegas):
     H = slt.eval_transfer(sys, s)
     for j in ("identity", "neg_k", J):
         assert _rel(slt.eval_transfer(slt.first_companion(sys, j=j), s), H) <= 1e-9
+
+
+@DETERMINISTIC
+@given(sys=second_order_systems(n_max=10), steps=st.integers(1, 1500),
+       h=st.floats(0.005, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_blocked_simulation_matches_sparse_stepping(sys, steps, h, seed):
+    # a dense model with d <= 20 states advances groups of L >= 12 steps;
+    # its CSC copy steps row by row through SuperLU
+    t = h * np.arange(steps + 1)
+    sig = slt.CustomSignal(np.random.default_rng(seed).standard_normal((t.size, sys.m)))
+    csc = slt.make_second_order(*(scipy.sparse.csc_array(A) for A in (sys.M, sys.E, sys.K)),
+                                sys.B_u, sys.C_p, sys.C_v)
+    ref = slt.simulate(csc, sig, t, return_states=True)
+    got = slt.simulate(sys, sig, t, return_states=True)
+    for a, b in ((got.states, ref.states), (got.outputs, ref.outputs)):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))

@@ -16,7 +16,7 @@ from solimbt import errors
 from solimbt import system
 from solimbt.system import _dense, _shifted_solves, dissipative_backtransform_matrix
 
-from helpers import count_calls, random_second_order, random_spd
+from helpers import count_calls, random_second_order, random_spd, solve_lyap_dense_oracle
 
 
 def test_chain_matrices_frozen():
@@ -244,10 +244,10 @@ def test_dissipative_backtransform_recovers_companion_gramian():
     sys = random_second_order(rng, 3, m=1, p=2)
     comp = slt.first_companion(sys)
     diss = slt.strictly_dissipative(sys)
-    Qc = slt.solve_lyap_dense_oracle(comp.calA.T, comp.calE.T,
-                                     comp.calC.T @ comp.calC)
-    Qd = slt.solve_lyap_dense_oracle(diss.calA.T, diss.calE.T,
-                                     diss.calC.T @ diss.calC)
+    Qc = solve_lyap_dense_oracle(comp.calA.T, comp.calE.T,
+                                 comp.calC.T @ comp.calC)
+    Qd = solve_lyap_dense_oracle(diss.calA.T, diss.calE.T,
+                                 diss.calC.T @ diss.calC)
     T = dissipative_backtransform_matrix(sys, diss.gamma)
     assert_allclose(T.T @ Qd @ T, Qc, rtol=1e-9, atol=1e-12)
     # factor form
@@ -608,6 +608,102 @@ def test_dense_divergence_is_found_in_any_block(monkeypatch):
                 warnings.simplefilter("error")
                 with pytest.raises(errors.NonFiniteState, match=r"t=733$"):
                     slt.simulate(obj, slt.StepSignal(), t)
+
+
+def _spy_step_tables(monkeypatch):
+    """Record what every call of ``system._step_tables`` returns."""
+    tables = []
+    step_tables = system._step_tables
+
+    def spy(PhiT):
+        tables.append(step_tables(PhiT))
+        return tables[-1]
+
+    monkeypatch.setattr(system, "_step_tables", spy)
+    return tables
+
+
+@pytest.mark.parametrize("n, budget", [(1, None), (1, 10_000), (4, None),
+                                       (4, 140_000), (20, 2**22)])
+def test_blocked_stepping_matches_sparse(monkeypatch, n, budget):
+    # groups of L steps of a dense model, second-order and first-order,
+    # against the SuperLU run of its CSC copy, which steps row by row:
+    # d = 2, 8 and 40 states (40 needs a larger budget for groups of 8
+    # steps); 1999 steps, a multiple of no L, so the last group is short;
+    # budgets of 10 and 140 kB end each chunk inside a group
+    rng = np.random.default_rng(30 + n)
+    t = np.linspace(0.0, 40.0, 2000)
+    dense, sparse = _with_csc(random_second_order(rng, n, m=2, p=3))
+    sig = slt.CustomSignal(rng.standard_normal((t.size, dense.m)))
+    ref = slt.simulate(sparse, sig, t, return_states=True)
+    if budget:
+        monkeypatch.setattr(system, "_CHUNK_BYTES", budget)
+    tables = _spy_step_tables(monkeypatch)
+    for obj in (dense, slt.first_companion(dense)):
+        for states in (False, True):
+            got = slt.simulate(obj, sig, t, return_states=states)
+            assert_allclose(got.outputs, ref.outputs, rtol=0,
+                            atol=1e-12 * np.max(np.abs(ref.outputs)))
+            if states:
+                assert_allclose(got.states, ref.states, rtol=0,
+                                atol=1e-12 * np.max(np.abs(ref.states)))
+    assert len(tables) == 4 and all(tab is not None for tab in tables)
+    T, Pow = tables[0]
+    d = 2 * n
+    L = T.shape[0] // d
+    rows = (system._CHUNK_BYTES - T.nbytes - Pow.nbytes) // (8 * d)
+    assert L >= 8 and Pow.shape == (d, L * d) and (t.size - 1) % L
+    if budget in (10_000, 140_000):
+        assert rows < t.size - 1 and rows % L
+
+
+def test_blocked_stepping_reports_the_divergent_step(monkeypatch):
+    # x' = 2x grows by 19 per step at h = 0.9: its 256th power overflows, so
+    # the default run steps row by row; with groups of 128 steps the powers
+    # are finite and the state overflows inside a group.  So does the state
+    # of the negative-stiffness model of the divergence test, whose first 64
+    # powers are finite.  Each run names the step that the row loop, one row
+    # per chunk, names, without warnings
+    grow = slt.FirstOrderRealization(np.eye(1), 2.0 * np.eye(1),
+                                     np.ones((1, 1)), np.ones((1, 1)))
+    near_one = slt.make_second_order(np.eye(2), 0.1 * np.eye(2), -np.eye(2),
+                                     np.ones((2, 1)), np.ones((1, 2)),
+                                     np.ones((1, 2)))
+    short, long = np.arange(0.0, 300.0, 0.9), np.arange(0.0, 8000.0, 0.5)
+    default = system._CHUNK_BYTES
+    cases = [(grow, short, default, False), (grow, short, 32 * 128**2, True),
+             (near_one, long, default, True),
+             (slt.first_companion(near_one), long, default, True)]
+    tables = _spy_step_tables(monkeypatch)
+    for obj, t, budget, blocked in cases:
+        messages, grouped = [], []
+        for chunk_bytes in (budget, 1):
+            monkeypatch.setattr(system, "_CHUNK_BYTES", chunk_bytes)
+            tables.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(errors.NonFiniteState) as exc:
+                    slt.simulate(obj, slt.StepSignal(), t)
+            messages.append(str(exc.value))
+            grouped.append(tables[0] is not None)
+        assert grouped == [blocked, False]
+        assert messages[0] == messages[1]
+    assert messages == 2 * ["state became non-finite at t=733"]
+    # x' = x at h = 1: Phi = 3 and Gamma = 1 exactly, and the inputs cancel
+    # the state from the second step on, but a group's terms A 3^(j-1)
+    # overflow from step 17: the group is stepped again and stays finite
+    monkeypatch.setattr(system, "_CHUNK_BYTES", default)
+    one = slt.FirstOrderRealization(np.eye(1), np.eye(1), np.ones((1, 1)),
+                                    np.ones((1, 1)))
+    A = 2.0**1000
+    u = np.concatenate([[0.0, A], np.tile([-4.0 * A, 4.0 * A], 24)])
+    tables.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = slt.simulate(one, slt.CustomSignal(u), np.arange(u.size, dtype=float),
+                           return_states=True)
+    assert tables[0] is not None
+    assert np.array_equal(got.states[:, 0], np.concatenate([[0.0, A], np.zeros(u.size - 2)]))
 
 
 def test_dense_simulation_memory_without_states():
