@@ -35,7 +35,7 @@ from .errors import (
     SingularS,
 )
 from .gramians import infinite_gramians
-from .system import FirstOrderRealization, _frozen, _lu, make_second_order
+from .system import FirstOrderRealization, _lu, make_second_order
 
 FORMULAS = ("v", "fv", "vpm", "pm", "pv", "vp", "p", "so")
 
@@ -236,9 +236,6 @@ def first_order_bt(real, order_tol=1e-4, fixed_r=None):
     LU, sigma, RV = _balanced_pairs(L, real.calE, R, order_tol, fixed_r)
     r = LU.shape[1]
     sq = 1.0 / np.sqrt(sigma[:r])
-    W = LU * sq
-    T = RV * sq
-    rom = FirstOrderRealization(*map(_frozen, (
-        W.T @ real.calE @ T, W.T @ real.calA @ T, W.T @ real.calB, real.calC @ T)))
+    rom = real.project(LU * sq, RV * sq)
     bound = 2.0 * float(np.sum(sigma[r:]))
     return FirstOrderRom(realization=rom, r=r, sigma=sigma, error_bound=bound)

@@ -22,18 +22,25 @@ from .mmio import load_bundle, save_bundle
 from .system import SineSignal, StepSignal, generate_chain, simulate
 
 
-def _fmt(x):
-    if x is None:
-        return ""
-    if isinstance(x, float) and not np.isfinite(x):
-        return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
-    return f"{x:.17g}"
-
-
 def _json_safe(x):
+    """``x``, or the string ``"inf"``, ``"-inf"`` or ``"nan"`` for a
+    non-finite float."""
     if isinstance(x, float) and not np.isfinite(x):
         return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
     return x
+
+
+def _fmt(x):
+    """A float as a CSV field: all 17 significant digits, or as :func:`_json_safe`."""
+    x = _json_safe(x)
+    return x if isinstance(x, str) else f"{x:.17g}"
+
+
+def _report_summary(report, **extra):
+    """The global and local maxima of an ``ErrorReport``, JSON-safe, and ``extra``."""
+    return {**{key: _json_safe(getattr(report, key))
+               for key in ("global_max_abs", "global_max_rel",
+                           "local_max_abs", "local_max_rel")}, **extra}
 
 
 def _parse_intervals(text):
@@ -100,11 +107,8 @@ def _load_job(path):
         if not isinstance(job.get(key, ""), str):
             raise InvalidParams(f"config key {key!r} must be a string")
 
-    method = job["method"]
     band = window = None
-    if method == "flbt":
-        if "band" not in job:
-            raise InvalidParams("missing config key 'band' (required for flbt)")
+    if "band" in job:
         entry = job["band"]
         ivs = entry["intervals"]
         if not (isinstance(ivs, list)
@@ -113,16 +117,10 @@ def _load_job(path):
                                 f"[lo, hi] pairs, got {ivs!r}")
         band = _band_from([[_number(x, "intervals") for x in iv] for iv in ivs],
                           entry.get("unit", "hz"))
-    elif "band" in job:
-        raise InvalidParams("config key 'band' is only valid for method flbt")
-    if method == "tlbt":
-        if "window" not in job:
-            raise InvalidParams("missing config key 'window' (required for tlbt)")
+    if "window" in job:
         entry = job["window"]
         window = TimeWindow(float(_number(entry["t0"], "t0")),
                             float(_number(entry["tf"], "tf")))
-    elif "window" in job:
-        raise InvalidParams("config key 'window' is only valid for method tlbt")
 
     order = job.get("order", {})
     if not set(order) <= {"tol", "fixed"}:
@@ -140,18 +138,18 @@ def _load_job(path):
                                 f"finite, got {h['fmin']!r} and {h['fmax']!r}")
         omegas = np.logspace(np.log10(lo), np.log10(hi),
                              _number(h.get("points", 200), "points", numbers.Integral))
-        hybrid = (omegas, float(_number(h.get("tol", 1e-12), "tol")))
+        hybrid = (omegas, h.get("tol", 1e-12))
 
     config = pipeline.ReductionConfig(
-        method=method,
+        method=job["method"],
         formula=job.get("formula", "pv"),
         band=band, window=window,
-        order_tol=float(_number(order.get("tol", 1e-4), "tol")),
+        order_tol=order.get("tol", 1e-4),
         fixed_order=order.get("fixed"),
         realization=job.get("realization", "companion"),
         j=job.get("j", "identity"),
         gamma=job.get("gamma"),
-        alpha=float(_number(job.get("alpha", 0.0), "alpha")),
+        alpha=job.get("alpha", 0.0),
         solver=job.get("solver", "sign"),
         modified=job.get("modified", False),
         hybrid=hybrid)
@@ -212,25 +210,16 @@ def cmd_analyze(args):
                                   report.abs_err, report.rel_err):
             rel = "" if not np.isfinite(re_) else _fmt(re_)
             fh.write(f"{_fmt(w)},{_fmt(on)},{_fmt(ae)},{rel}\n")
-    summary = {
-        "global_max_abs": _json_safe(report.global_max_abs),
-        "global_max_rel": _json_safe(report.global_max_rel),
-        "local_max_abs": _json_safe(report.local_max_abs),
-        "local_max_rel": _json_safe(report.local_max_rel),
-        "points": int(report.grid.size),
-        "skipped": report.skipped,
-        "rom_stable": report.rom_stable,
-    }
+    summary = _report_summary(report, points=int(report.grid.size),
+                              skipped=report.skipped, rom_stable=report.rom_stable)
     return _summarize(summary, args.summary)
 
 
 def _signal_from(args):
     if args.signal == "step":
         return StepSignal(amplitude=args.amplitude, onset=args.onset)
-    if args.signal == "sin":
-        return SineSignal(amplitude=args.amplitude, omega=args.omega,
-                          onset=args.onset, offset=args.offset)
-    raise InvalidParams(f"unknown signal {args.signal!r}")
+    return SineSignal(amplitude=args.amplitude, omega=args.omega,
+                      onset=args.onset, offset=args.offset)
 
 
 def cmd_simulate(args):
@@ -261,9 +250,7 @@ def cmd_simulate(args):
         heads += ["abs_err", "rel_err"]
         rel = [_fmt(x) if np.isfinite(x) else "" for x in report.rel_err]
         cols = [[_fmt(x) for x in report.abs_err], rel]
-        summary = {key: _json_safe(getattr(report, key))
-                   for key in ("global_max_abs", "global_max_rel",
-                               "local_max_abs", "local_max_rel")}
+        summary = _report_summary(report)
     with open(args.out, "w") as fh:
         fh.write("t_s," + ",".join(heads) + "\n")
         for k in range(t.size):

@@ -29,10 +29,6 @@ class DimensionTooLarge(ConfigCategory):
     """Problem size exceeds a dense-algebra guard."""
 
 
-class TooLarge(ConfigCategory):
-    """Dense reference solver refused an oversized problem."""
-
-
 class IoError(ConfigCategory):
     """A model bundle or result file could not be read or written."""
 
@@ -81,10 +77,6 @@ class NotConverged(SolimbtError):
 
 class UnstablePencil(SolimbtError):
     """Sign iteration diverged; the pencil appears to have eigenvalues on the imaginary axis."""
-
-
-class SingularOperator(SolimbtError):
-    """Lyapunov operator is singular (mirror-symmetric pencil eigenvalues)."""
 
 
 class UnstableProjection(SolimbtError):

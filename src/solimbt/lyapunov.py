@@ -11,8 +11,7 @@ realization forms once (Benner & Quintana-Orti, Numer. Algorithms 20,
 ``X^T W + W X + G_o S_o G_o^T = 0`` with ``W = calE^T Q calE`` share the
 iterates of ``X``, so one inverse per step serves both.  Right-hand sides
 are kept in factored indefinite form ``G S G^T``, which is exactly what the
-limited balancing variants produce.  A dense Kronecker solver acts as an
-independent reference at small sizes.
+limited balancing variants produce.
 
 The rational-Krylov projection solver covers problems where dense sign
 iteration is too expensive: it Galerkin-projects the realization onto the
@@ -32,7 +31,7 @@ from .errors import (
     UnstablePencil,
     UnstableProjection,
 )
-from .system import FirstOrderRealization, _dual_directions, _frozen
+from .system import _dual_directions
 
 # Fixed settings of the sign iteration: it stops once the distance
 # ``||X_k + I||_F / sqrt(N)`` of the iterate from its limit ``-I`` is at
@@ -41,6 +40,11 @@ from .system import FirstOrderRealization, _dual_directions, _frozen
 SIGN_TOL = 1e-12
 SIGN_MAXITER = 100
 COMPRESS_TOL = 1e-14
+
+# Fixed settings of the projection solver: PROJECTION_SHIFTS shift
+# frequencies, added to the subspace PROJECTION_BATCH at a time.
+PROJECTION_SHIFTS = 40
+PROJECTION_BATCH = 8
 
 
 @dataclass
@@ -213,8 +217,7 @@ def _default_shifts(band, window, real):
     return 1e-3 * scale, 1e3 * scale
 
 
-def solve_lyap_projection_dual(real, make_rhs, band=None, window=None,
-                               shifts=None, batch=8):
+def solve_lyap_projection_dual(real, make_rhs, band=None, window=None):
     """Rational-Krylov projection solver for the dual Lyapunov pair.
 
     Builds one orthonormal basis ``V`` from the solves
@@ -222,17 +225,13 @@ def solve_lyap_projection_dual(real, make_rhs, band=None, window=None,
     (one LU per shift serves both), Galerkin-projects the realization to
     ``(V^T calE V, V^T calA V, V^T calB, calC V)``, builds the right-hand
     sides on it with ``make_rhs(small) -> (rhs_c, rhs_o)`` and solves the
-    small pair with :func:`solve_lyap_pencil`.  The subspace grows in
-    batches of ``batch`` shifts until the traces of both Gramians change by
-    at most 1e-8 relatively, or until the basis spans the whole space.
-
-    Parameters
-    ----------
-    shifts
-        Optional explicit array of shift frequencies (rad/s, positive).  By
-        default 40 of them are spread logarithmically over the band hull,
-        over ``[1/tf, 10 N/tf]`` for a window, or else over ``10^{+-3}``
-        times the pencil scale ``||calA||_F / ||calE||_F``.
+    small pair with :func:`solve_lyap_pencil`.  The ``PROJECTION_SHIFTS``
+    shift frequencies (rad/s) are spread logarithmically over the band hull,
+    over ``[1/tf, 10 N/tf]`` for a window, or else over ``10^{+-3}`` times
+    the pencil scale ``||calA||_F / ||calE||_F``.  The subspace grows in
+    batches of ``PROJECTION_BATCH`` shifts until the traces of both Gramians
+    change by at most 1e-8 relatively, or until the basis spans the whole
+    space.
 
     Returns
     -------
@@ -248,19 +247,16 @@ def solve_lyap_projection_dual(real, make_rhs, band=None, window=None,
     NotConverged
         If the shift budget is exhausted before the traces settle.
     """
-    if shifts is None:
-        lo, hi = _default_shifts(band, window, real)
-        shifts = np.logspace(np.log10(lo), np.log10(hi), 40)
-    shifts = np.asarray(shifts, dtype=float)
+    lo, hi = _default_shifts(band, window, real)
+    shifts = np.logspace(np.log10(lo), np.log10(hi), PROJECTION_SHIFTS)
 
     raw = []
     trace_history = []
-    for start in range(0, shifts.size, batch):
-        raw.append(_dual_directions(real, 1j * shifts[start:start + batch],
+    for start in range(0, shifts.size, PROJECTION_BATCH):
+        raw.append(_dual_directions(real, 1j * shifts[start:start + PROJECTION_BATCH],
                                     UnstablePencil))
         V = spla.orth(np.hstack(raw))
-        small = FirstOrderRealization(*map(_frozen, (
-            V.T @ real.calE @ V, V.T @ real.calA @ V, V.T @ real.calB, real.calC @ V)))
+        small = real.project(V, V)
         if np.max(small.pencil_eigenvalues().real) >= 0.0:
             raise UnstableProjection(
                 "projected pencil not c-stable; retry with the strictly "

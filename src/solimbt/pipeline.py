@@ -49,19 +49,19 @@ def alpha_shift(sys, alpha):
     """
     if alpha < 0:
         raise InvalidParams("shift must be nonnegative")
-    a = float(alpha)
-    return make_second_order(
-        sys.M, sys.E + 2 * a * sys.M, sys.K + a * sys.E + a * a * sys.M,
-        sys.B_u, sys.C_p + a * sys.C_v, sys.C_v)
+    return _shift(sys, float(alpha))
 
 
 def alpha_backsubstitute(sys, alpha):
     """Exact inverse of :func:`alpha_shift` on (reduced) system matrices."""
-    a = float(alpha)
-    E = sys.E - 2 * a * sys.M
-    K = sys.K - a * sys.E + a * a * sys.M
-    return make_second_order(sys.M, E, K, sys.B_u,
-                             sys.C_p - a * sys.C_v, sys.C_v)
+    return _shift(sys, -float(alpha))
+
+
+def _shift(sys, a):
+    """The substitution of :func:`alpha_shift` for any real ``a``."""
+    return make_second_order(
+        sys.M, sys.E + 2 * a * sys.M, sys.K + a * sys.E + a * a * sys.M,
+        sys.B_u, sys.C_p + a * sys.C_v, sys.C_v)
 
 
 def hybrid_prereduce(sys, omegas, tol=1e-12):
@@ -84,7 +84,10 @@ def hybrid_prereduce(sys, omegas, tol=1e-12):
     SingularShiftedSystem
         If a sample point coincides with a system pole.
     """
-    omegas = np.asarray(omegas, dtype=float)
+    try:
+        omegas = np.asarray(omegas, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParams(f"sample frequencies must be numbers: {exc}") from exc
     if omegas.ndim != 1 or omegas.size == 0:
         raise InvalidParams("need a non-empty 1d array of sample frequencies")
     if not np.all((omegas > 0.0) & np.isfinite(omegas)):
@@ -110,6 +113,14 @@ class ReductionConfig:
     then implicitly the identity).  ``solver`` is ``"sign"`` or
     ``"projection"``.  ``hybrid`` holds ``(omegas, tol)`` sample frequencies
     for the pre-reduction step, or ``None``.
+
+    :meth:`validate` (which :func:`reduce` calls) raises ``InvalidParams``
+    unless ``band`` is a :class:`~solimbt.matfun.FrequencyBand`, given
+    exactly when ``method`` is ``"flbt"``, ``window`` a
+    :class:`~solimbt.matfun.TimeWindow`, given exactly when ``method`` is
+    ``"tlbt"``, and ``hybrid`` a pair with a nonnegative ``tol``; ``alpha``
+    must be nonnegative, ``order_tol`` positive, ``fixed_order`` an integer, and
+    ``modified`` Gramians need ``flbt`` or ``tlbt`` and the sign solver.
     """
 
     method: str = "bt"
@@ -131,19 +142,28 @@ class ReductionConfig:
             raise InvalidParams(f"unknown method {self.method!r}")
         if self.formula not in balancing.FORMULAS:
             raise InvalidParams(f"unknown formula {self.formula!r}")
-        if self.method == "flbt" and self.band is None:
-            raise InvalidParams("flbt needs a band")
-        if self.method == "tlbt" and self.window is None:
-            raise InvalidParams("tlbt needs a window")
+        for name, value, kind, method in (("band", self.band, FrequencyBand, "flbt"),
+                                          ("window", self.window, TimeWindow, "tlbt")):
+            if not (value is None or isinstance(value, kind)):
+                raise InvalidParams(f"{name} must be a {kind.__name__}, got {value!r}")
+            if (value is None) == (self.method == method):
+                raise InvalidParams(f"{method} needs a {name}" if value is None
+                                    else f"a {name} is only valid for method {method}")
+        if not (self.hybrid is None or isinstance(self.hybrid, (tuple, list))
+                and len(self.hybrid) == 2):
+            raise InvalidParams(f"hybrid must be a pair (omegas, tol), got {self.hybrid!r}")
         if self.realization not in ("companion", "dissipative"):
             raise InvalidParams(f"unknown realization {self.realization!r}")
         if self.solver not in ("sign", "projection"):
             raise InvalidParams(f"unknown solver {self.solver!r}")
-        for name, value in (("alpha", self.alpha), ("order tolerance", self.order_tol)):
+        hybrid_tol = 0.0 if self.hybrid is None else self.hybrid[1]
+        for name, value in (("alpha", self.alpha), ("order tolerance", self.order_tol),
+                            ("hybrid tol", hybrid_tol)):
             if value is None or not _none_or_number(value, numbers.Real):
                 raise InvalidParams(f"{name} must be a real number, got {value!r}")
-        if not self.alpha >= 0.0:
-            raise InvalidParams(f"alpha must be nonnegative, got {self.alpha!r}")
+        for name, value in (("alpha", self.alpha), ("hybrid tol", hybrid_tol)):
+            if not value >= 0.0:
+                raise InvalidParams(f"{name} must be nonnegative, got {value!r}")
         if not self.order_tol > 0.0:
             raise InvalidParams(f"order tolerance must be positive, got {self.order_tol!r}")
         if not _none_or_number(self.fixed_order, numbers.Integral):
@@ -193,7 +213,10 @@ def reduce(sys, config):
     V_pre = None
     if config.hybrid is not None:
         omegas, pre_tol = config.hybrid
-        if config.method == "flbt" and config.band is not None:
+        t0 = time.perf_counter()
+        work, V_pre = hybrid_prereduce(work, omegas, tol=pre_tol)
+        timings["prereduce"] = time.perf_counter() - t0
+        if config.band is not None:
             lo, hi = config.band.hull
             om = np.asarray(omegas, dtype=float)
             if om.min() >= lo and om.max() <= hi:
@@ -201,9 +224,6 @@ def reduce(sys, config):
                     "hybrid sample points restricted to the band; "
                     "out-of-band behaviour of the pre-reduced model is "
                     "uncontrolled", stacklevel=2)
-        t0 = time.perf_counter()
-        work, V_pre = hybrid_prereduce(work, omegas, tol=pre_tol)
-        timings["prereduce"] = time.perf_counter() - t0
     work = _dense(work)
 
     if config.realization == "dissipative":
@@ -215,9 +235,7 @@ def reduce(sys, config):
 
     t0 = time.perf_counter()
     if config.modified:
-        pair = gramians.modified_gramians(
-            real, band=config.band if config.method == "flbt" else None,
-            window=config.window if config.method == "tlbt" else None)
+        pair = gramians.modified_gramians(real, band=config.band, window=config.window)
     elif config.method == "bt":
         pair = gramians.infinite_gramians(real, solver=config.solver)
     elif config.method == "flbt":
@@ -275,8 +293,9 @@ class ErrorReport:
     """Pointwise and aggregate model errors over a grid.
 
     Relative entries are NaN where the reference norm falls below
-    ``1e-14 x`` its maximum; aggregate relative maxima are ``None`` when no
-    valid point exists, and local maxima are ``None`` without a band/window.
+    ``1e-14 x`` its maximum.  The maxima skip skipped points and non-finite
+    entries; aggregate relative maxima are ``None`` when no valid point
+    exists, and local maxima are ``None`` without a band/window.
     """
 
     kind: str
@@ -309,6 +328,29 @@ def _masked_max(values, mask):
     return float(np.max(vals)) if vals.size else None
 
 
+def _error_report(kind, grid, orig_norm, abs_err, valid, local):
+    """:class:`ErrorReport` of the pointwise norms over ``grid``: ``valid``
+    marks the points that count (the others are ``skipped``), ``local`` the
+    band or window, or is ``None`` without one."""
+    scale = np.nanmax(orig_norm) if valid.any() else 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel_err = np.where(orig_norm >= 1e-14 * scale, abs_err / orig_norm, np.nan)
+    return ErrorReport(
+        kind=kind, grid=grid, orig_norm=orig_norm, abs_err=abs_err, rel_err=rel_err,
+        global_max_abs=_masked_max(abs_err, valid) or 0.0,
+        global_max_rel=_masked_max(rel_err, valid),
+        local_max_abs=None if local is None else _masked_max(abs_err, valid & local),
+        local_max_rel=None if local is None else _masked_max(rel_err, valid & local),
+        skipped=np.flatnonzero(~valid).tolist())
+
+
+def _with_rom(report, rom):
+    """``report`` with the order and stability flag of the model ``rom``."""
+    report.rom_order = getattr(rom, "r", None)
+    report.rom_stable = _is_stable(rom)
+    return report
+
+
 def frequency_error_report(orig, rom, wmin, wmax, points, band=None):
     """Spectral-norm transfer-function errors over a logarithmic grid.
 
@@ -320,34 +362,17 @@ def frequency_error_report(orig, rom, wmin, wmax, points, band=None):
     singular are skipped and recorded.  ``rom_stable`` of a
     :class:`ReducedModel` is its ``stable`` flag; other models are checked.
     """
-    orig = _unwrap(orig)
-    rom_model = rom
-    rom = _unwrap(rom)
     omega = np.logspace(np.log10(wmin), np.log10(wmax), points)
-    Ho = eval_transfer(orig, 1j * omega, skip_poles=True)
-    Hr = eval_transfer(rom, 1j * omega, skip_poles=True)
+    Ho = eval_transfer(_unwrap(orig), 1j * omega, skip_poles=True)
+    Hr = eval_transfer(_unwrap(rom), 1j * omega, skip_poles=True)
     ok = np.all(np.isfinite(Ho), axis=(1, 2)) & np.all(np.isfinite(Hr), axis=(1, 2))
     orig_norm = np.full(omega.shape, np.nan)
     abs_err = np.full(omega.shape, np.nan)
     orig_norm[ok] = np.linalg.norm(Ho[ok], 2, axis=(1, 2))
     abs_err[ok] = np.linalg.norm(Ho[ok] - Hr[ok], 2, axis=(1, 2))
-
-    valid = np.isfinite(orig_norm)
-    skipped = np.flatnonzero(~valid).tolist()
-    scale = np.nanmax(orig_norm) if valid.any() else 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rel_err = np.where(orig_norm >= 1e-14 * scale, abs_err / orig_norm, np.nan)
-
-    in_band = band.mask(omega) if band is not None else None
-    return ErrorReport(
-        kind="frequency", grid=omega, orig_norm=orig_norm,
-        abs_err=abs_err, rel_err=rel_err,
-        global_max_abs=_masked_max(abs_err, valid) or 0.0,
-        global_max_rel=_masked_max(rel_err, valid),
-        local_max_abs=_masked_max(abs_err, valid & in_band) if band is not None else None,
-        local_max_rel=_masked_max(rel_err, valid & in_band) if band is not None else None,
-        rom_order=getattr(rom_model, "r", None),
-        rom_stable=_is_stable(rom_model), skipped=skipped)
+    report = _error_report("frequency", omega, orig_norm, abs_err, np.isfinite(orig_norm),
+                           None if band is None else band.mask(omega))
+    return _with_rom(report, rom)
 
 
 def trajectory_errors(reference, traj, window=None):
@@ -361,20 +386,8 @@ def trajectory_errors(reference, traj, window=None):
     t = reference.times
     abs_err = np.linalg.norm(reference.outputs - traj.outputs, axis=1)
     orig_norm = np.linalg.norm(reference.outputs, axis=1)
-    scale = np.max(orig_norm)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rel_err = np.where(orig_norm >= 1e-14 * scale, abs_err / orig_norm, np.nan)
-    valid = np.ones(t.shape, dtype=bool)
-    in_win = None
-    if window is not None:
-        in_win = (t >= window.t0) & (t <= window.tf)
-    return ErrorReport(
-        kind="time", grid=t, orig_norm=orig_norm,
-        abs_err=abs_err, rel_err=rel_err,
-        global_max_abs=float(np.max(abs_err)),
-        global_max_rel=_masked_max(rel_err, valid),
-        local_max_abs=_masked_max(abs_err, in_win) if window is not None else None,
-        local_max_rel=_masked_max(rel_err, valid & in_win) if window is not None else None)
+    return _error_report("time", t, orig_norm, abs_err, np.ones(t.shape, dtype=bool),
+                         None if window is None else (t >= window.t0) & (t <= window.tf))
 
 
 def time_error_report(orig, rom, signal, t, window=None):
@@ -389,10 +402,6 @@ def time_error_report(orig, rom, signal, t, window=None):
     :class:`~solimbt.errors.NonFiniteState`.  ``rom_stable`` is set as in
     :func:`frequency_error_report`.
     """
-    rom_model = rom
-    rom = _unwrap(rom)
-    report = trajectory_errors(simulate(_unwrap(orig), signal, t),
-                               simulate(rom, signal, t), window=window)
-    report.rom_order = getattr(rom_model, "r", None)
-    report.rom_stable = _is_stable(rom_model)
-    return report
+    return _with_rom(trajectory_errors(simulate(_unwrap(orig), signal, t),
+                                       simulate(_unwrap(rom), signal, t), window=window),
+                     rom)

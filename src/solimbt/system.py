@@ -208,18 +208,27 @@ class FirstOrderRealization:
         return self._eigs
 
     def solve_calE(self, Y, trans="N"):
-        """``calE^{-1} Y`` (``calE^{-T} Y`` for ``trans="T"``): a diagonal ``calE``
-        through ``scipy.linalg.solve``, which divides, any other by one :func:`_lu`.
+        """``calE^{-1} Y`` (``calE^{-T} Y`` for ``trans="T"``) for a matrix ``Y``:
+        a diagonal ``calE`` multiplies by the reciprocals of its diagonal, taken
+        once (as OpenBLAS' triangular solve does, so the result matches
+        ``scipy.linalg.solve`` there bit for bit), any other solves by one :func:`_lu`.
         Raises ``UnstableRealization`` if ``calE`` is singular."""
         if self._solve is None:
             E, d = self.calE, np.diagonal(self.calE)
             if np.count_nonzero(E) > np.count_nonzero(d):
                 self._solve = _lu(E)
             elif np.all(d):
-                self._solve = lambda b, trans="N": spla.solve(E, b)
+                inv = (1.0 / d)[:, None]
+                self._solve = lambda b, trans="N": inv * b
             if self._solve is None:
                 raise UnstableRealization("singular calE: an infinite pencil eigenvalue")
         return self._solve(Y, trans)
+
+    def project(self, W, T):
+        """Petrov-Galerkin projection ``(W^T calE T, W^T calA T, W^T calB, calC T)``
+        of the realization, with read-only matrices."""
+        return FirstOrderRealization(*map(_frozen, (
+            W.T @ self.calE @ T, W.T @ self.calA @ T, W.T @ self.calB, self.calC @ T)))
 
     def standard_form(self):
         """``(X, calE^{-1} calB)`` with ``X = calE^{-1} calA`` from one solve; read-only."""

@@ -15,6 +15,14 @@ from solimbt import FirstOrderRealization, errors, make_second_order
 ORACLE_MAX_DIM = 60  # the oracle's Kronecker operator has N^4 entries
 
 
+class TooLarge(errors.ConfigCategory):
+    """The dense reference solver refused an oversized problem."""
+
+
+class SingularOperator(errors.SolimbtError):
+    """Lyapunov operator is singular (mirror-symmetric pencil eigenvalues)."""
+
+
 def random_spd(rng, n, spread=0.7):
     """Random symmetric positive definite matrix with moderate conditioning."""
     Q = spla.qr(rng.standard_normal((n, n)))[0]
@@ -104,7 +112,7 @@ def solve_lyap_dense_oracle(calA, calE, rhs):
     R = np.asarray(rhs, dtype=float)
     N = A.shape[0]
     if N > ORACLE_MAX_DIM:
-        raise errors.TooLarge(f"dense oracle limited to N <= {ORACLE_MAX_DIM}, got {N}")
+        raise TooLarge(f"dense oracle limited to N <= {ORACLE_MAX_DIM}, got {N}")
     if A.shape != (N, N) or E.shape != (N, N) or R.shape != (N, N):
         raise errors.DimensionMismatch("oracle operands must be square and equal-sized")
     L = np.kron(E, A) + np.kron(A, E)
@@ -116,10 +124,10 @@ def solve_lyap_dense_oracle(calA, calE, rhs):
         try:
             x = spla.solve(L, -R.flatten(order="F"))
         except spla.LinAlgError as exc:
-            raise errors.SingularOperator("Lyapunov operator is singular") from exc
+            raise SingularOperator("Lyapunov operator is singular") from exc
         resid = np.linalg.norm(L @ x + R.flatten(order="F"))
     if not np.isfinite(resid) or resid > 1e-6 * max(np.linalg.norm(R), 1.0):
-        raise errors.SingularOperator("Lyapunov operator is numerically singular")
+        raise SingularOperator("Lyapunov operator is numerically singular")
     X = x.reshape((N, N), order="F")
     return 0.5 * (X + X.T)
 

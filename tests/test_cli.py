@@ -18,7 +18,7 @@ import solimbt as slt
 from solimbt import cli, errors, pipeline
 from solimbt.cli import main
 
-from helpers import random_second_order
+from helpers import count_calls, random_second_order
 
 
 # ------------------------------------------------------------------- bundles
@@ -157,6 +157,32 @@ def test_reduce_job_tlbt(tmp_path):
     assert main(["reduce", "--config", str(tmp_path / "job.json")]) == 0
 
 
+def test_reduce_job_hybrid(tmp_path, monkeypatch, capsys):
+    # a valid hybrid block: 20 sample points pre-reduce the chain once, the
+    # job exits 0 with its report, and the adaptive-order ROM is accurate in
+    # the band
+    model = str(tmp_path / "model")
+    main(["generate", "--n", "60", "--out", model])
+    cfg = _write_job(tmp_path / "job.json", input=model, output=str(tmp_path / "rom"),
+                     order={"tol": 1e-4},
+                     hybrid={"points": 20, "fmin": 0.005, "fmax": 0.2, "unit": "hz"})
+    pre = count_calls(monkeypatch, pipeline, "hybrid_prereduce")
+    assert main(["reduce", "--config", str(cfg)]) == 0
+    assert len(pre) == 1 and pre[0].n == 60
+    report = json.loads((tmp_path / "rom" / "report.json").read_text())
+    assert report["rom_order"] == 7 and report["stable"] is True
+    assert "prereduce" in report["timings"]
+    capsys.readouterr()
+    summary = tmp_path / "err.json"
+    assert main(["analyze", "--original", model, "--reduced", str(tmp_path / "rom"),
+                 "--fmin", "0.001", "--fmax", "1", "--points", "100",
+                 "--band", "0.01,0.05", "--out", str(tmp_path / "err.csv"),
+                 "--summary", str(summary)]) == 0
+    data = json.loads(summary.read_text())
+    assert data["local_max_rel"] <= 1e-3
+    assert data["local_max_rel"] < data["global_max_rel"]
+
+
 def test_reduce_config_errors(tmp_path, capsys):
     model = str(tmp_path / "model")
     main(["generate", "--n", "6", "--out", model])
@@ -206,12 +232,16 @@ def test_reduce_config_errors(tmp_path, capsys):
     {"band": {"intervals": [[0.01, 0.05]], "unit": "Hz"}},
     {"alpha": -1}, {"order": {"tol": -1}}, {"order": {"tol": 0}},
     {"hybrid": {"fmin": -1, "fmax": 10}}, {"hybrid": {"fmin": 0.5, "fmax": np.inf}},
+    {"hybrid": "abc"}, {"hybrid": {"fmin": 0.5, "fmax": 10, "tol": "x"}},
+    {"method": "flbt", "band": None, "window": [0, 1]},
+    {"method": "bt"}, {"window": {"t0": 0, "tf": 1}},
 ], ids=["modified-string", "fixed-float", "fixed-bool", "fixed-string",
         "gamma-string", "band-list", "input-number", "alpha-list",
         "alpha-string", "window-t0-list", "tol-list", "intervals-number",
         "hybrid-fmin-string", "hybrid-unit-Hz", "band-unit-Hz",
         "alpha-negative", "tol-negative", "tol-zero", "hybrid-fmin-negative",
-        "hybrid-fmax-infinite"])
+        "hybrid-fmax-infinite", "hybrid-string", "hybrid-tol-string",
+        "window-list", "band-with-bt", "window-with-flbt"])
 def test_reduce_config_value_of_wrong_type(tmp_path, capsys, override):
     # a value of the wrong JSON type or out of range, or a unit other than
     # "hz" and "rad", is a config error: it neither crashes, runs nor is

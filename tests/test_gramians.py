@@ -181,7 +181,8 @@ def test_pairs_factor_calE_once_unless_diagonal(monkeypatch, build, factored):
     # the builders and the sign solver of the bt, flbt and tlbt pairs read
     # one realization's standard form and calE solver: the SPD calE of the
     # dissipative form is factored once, and the diagonal calE of a chain's
-    # companion form never (scipy's solve divides by it)
+    # companion form never (its solver multiplies by the reciprocal
+    # diagonal); neither goes through scipy's general solve
     lus = count_calls(monkeypatch, slt.system, "_lu")
     solves = count_calls(monkeypatch, spla, "solve")
     real = build(slt.generate_chain(30))
@@ -189,7 +190,7 @@ def test_pairs_factor_calE_once_unless_diagonal(monkeypatch, build, factored):
     slt.frequency_limited_gramians(real, slt.FrequencyBand.from_hz([(1.0, 100.0)]))
     slt.time_limited_gramians(real, slt.TimeWindow(0.0, 20.0))
     assert [a is real.calE for a in lus] == [True] * factored
-    assert any(a is real.calE for a in solves) is not factored
+    assert not any(a is real.calE for a in solves)
 
 
 def test_partition_roundtrip():

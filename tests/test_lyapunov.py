@@ -8,11 +8,11 @@ import scipy.linalg as spla
 from numpy.testing import assert_allclose
 
 import solimbt as slt
-from solimbt import errors
+from solimbt import errors, lyapunov
 from solimbt.lyapunov import ldl_compress
 
-from helpers import (contr_residual, obs_residual, random_second_order,
-                     solve_lyap_dense_oracle, stable_generic)
+from helpers import (SingularOperator, TooLarge, contr_residual, obs_residual,
+                     random_second_order, solve_lyap_dense_oracle, stable_generic)
 
 
 # ------------------------------------------------------------------- factors
@@ -160,12 +160,12 @@ def test_oracle_scalar():
 
 
 def test_oracle_guards():
-    with pytest.raises(errors.TooLarge):
+    with pytest.raises(TooLarge):
         solve_lyap_dense_oracle(-np.eye(61), np.eye(61), np.eye(61))
     with pytest.raises(errors.DimensionMismatch):
         solve_lyap_dense_oracle(-np.eye(3), np.eye(3), np.eye(2))
     # mirrored eigenvalues +1/-1 make the operator singular
-    with pytest.raises(errors.SingularOperator):
+    with pytest.raises(SingularOperator):
         solve_lyap_dense_oracle(np.diag([1.0, -1.0]), np.eye(2),
                                 np.eye(2))
 
@@ -222,17 +222,21 @@ def test_projection_unstable_projected_matrix():
                                      np.ones((1, 1)), np.ones((1, 1)))
     with pytest.raises(errors.UnstableProjection):
         slt.solve_lyap_projection_dual(real, _definite_rhs)
-    # a shift on a pole (+-i) of the full pencil
+    # a shift on a pole (+-i) of the full pencil: the band's first shift is 1
     osc = slt.FirstOrderRealization(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]),
                                     np.ones((2, 1)), np.ones((1, 2)))
     with pytest.raises(errors.UnstablePencil):
-        slt.solve_lyap_projection_dual(osc, _definite_rhs, shifts=np.array([1.0]))
+        slt.solve_lyap_projection_dual(osc, _definite_rhs,
+                                       band=slt.FrequencyBand([(1.0, 2.0)]))
 
 
-def test_projection_shift_budget_exhausted():
-    # one shift spans 4 of 6 dimensions, and one trace cannot settle
+def test_projection_shift_budget_exhausted(monkeypatch):
+    # one shift (1, the band's first) spans 4 of 6 dimensions, and one trace
+    # cannot settle
+    monkeypatch.setattr(lyapunov, "PROJECTION_SHIFTS", 1)
+    monkeypatch.setattr(lyapunov, "PROJECTION_BATCH", 1)
     rng = np.random.default_rng(6)
     real = stable_generic(rng, 6, m=1, p=1)
     with pytest.raises(errors.NotConverged):
         slt.solve_lyap_projection_dual(real, _definite_rhs,
-                                       shifts=np.array([1.0]), batch=1)
+                                       band=slt.FrequencyBand([(1.0, 2.0)]))

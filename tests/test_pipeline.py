@@ -58,7 +58,7 @@ def test_hybrid_prereduce_pole_and_validation():
         warnings.simplefilter("error")
         with pytest.raises(errors.SingularShiftedSystem):
             slt.hybrid_prereduce(undamped, np.array([1.0]))  # pole at +-i
-    for omegas in ([], [-1.0, 1.0], [0.5, np.nan], [0.5, np.inf]):
+    for omegas in ([], [-1.0, 1.0], [0.5, np.nan], [0.5, np.inf], ["x"]):
         with pytest.raises(errors.InvalidParams):
             slt.hybrid_prereduce(undamped, np.array(omegas))
 
@@ -102,6 +102,30 @@ def test_config_validation():
     slt.ReductionConfig(method="tlbt", window=win).validate()
     slt.ReductionConfig(solver="projection").validate()
     slt.ReductionConfig(alpha=1, order_tol=np.float64(1e-6)).validate()
+
+
+_BAND = slt.FrequencyBand([(0.1, 1.0)])
+_WINDOW = slt.TimeWindow(0.0, 1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(hybrid="abc"),
+    dict(hybrid=(np.array([0.1, 1.0]), "x")),
+    dict(method="flbt", band=[(1, 2)]),
+    dict(method="tlbt", window=(0, 1)),
+    dict(method="bt", band=_BAND),
+    dict(method="flbt", band=_BAND, window=_WINDOW),
+    dict(hybrid=(np.array([0.1, 1.0]), np.nan)),
+], ids=["hybrid-string", "hybrid-tol-string", "band-list", "window-tuple",
+        "band-with-bt", "window-with-flbt", "hybrid-tol-nan"])
+def test_config_errors_raise_invalid_params(kwargs):
+    # reduce runs validate first, so a malformed config fails before any work
+    # as a config error, not as a bare ValueError, TypeError or AttributeError
+    # (or, for a NaN tol, as a singular pre-reduced model)
+    with pytest.raises(errors.InvalidParams):
+        slt.ReductionConfig(**kwargs).validate()
+    with pytest.raises(errors.InvalidParams):
+        slt.reduce(slt.generate_chain(4), slt.ReductionConfig(**kwargs))
 
 
 def test_reduce_coupling_block_choices():

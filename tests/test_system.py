@@ -852,6 +852,21 @@ def test_pencil_eigenvalues_cached():
     assert slt.check_stability(two).max_real_part == -2.0
 
 
+def test_diagonal_calE_solve_matches_general_solve():
+    # a chain's companion calE is diagonal: its solver multiplies by the
+    # reciprocal diagonal, which agrees with a general solve to the last bits
+    # (LAPACK's triangular solve multiplies by the same reciprocals)
+    real = slt.first_companion(slt.generate_chain(30))
+    assert np.count_nonzero(real.calE) == real.N
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 61):
+        for order in "CF":
+            Y = np.asarray(rng.standard_normal((real.N, k)), order=order)
+            for trans in "NT":
+                assert_allclose(real.solve_calE(Y, trans), spla.solve(real.calE, Y),
+                                rtol=1e-15, atol=0.0)
+
+
 def test_dissipativity_bound_positive_for_spd(dim=5):
     rng = np.random.default_rng(42)
     sys = slt.make_second_order(random_spd(rng, dim), random_spd(rng, dim),
