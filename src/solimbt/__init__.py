@@ -17,10 +17,8 @@ from .balancing import (
     so_reconstruct,
 )
 from .gramians import (
-    CharacteristicValues,
     GramianPair,
     PartitionedFactors,
-    characteristic_values,
     frequency_limited_gramians,
     infinite_gramians,
     modified_gramians,

@@ -73,11 +73,12 @@ def cmd_generate(args):
     return 0
 
 
-_CONFIG_KEYS = {
-    "input", "output", "name", "method", "formula", "band", "window",
-    "order", "alpha", "realization", "j", "gamma", "solver", "modified",
-    "hybrid",
-}
+# job keys passed to ``ReductionConfig`` as they are; an absent key keeps
+# the field's default
+_CONFIG_FIELDS = ("method", "formula", "alpha", "realization", "j", "gamma",
+                  "solver", "modified")
+_CONFIG_KEYS = {"input", "output", "name", "band", "window", "order", "hybrid",
+                *_CONFIG_FIELDS}
 
 
 def _number(value, key, kind=numbers.Real):
@@ -141,18 +142,11 @@ def _load_job(path):
         hybrid = (omegas, h.get("tol", 1e-12))
 
     config = pipeline.ReductionConfig(
-        method=job["method"],
-        formula=job.get("formula", "pv"),
-        band=band, window=window,
-        order_tol=order.get("tol", 1e-4),
-        fixed_order=order.get("fixed"),
-        realization=job.get("realization", "companion"),
-        j=job.get("j", "identity"),
-        gamma=job.get("gamma"),
-        alpha=job.get("alpha", 0.0),
-        solver=job.get("solver", "sign"),
-        modified=job.get("modified", False),
-        hybrid=hybrid)
+        band=band, window=window, hybrid=hybrid,
+        **{key: job[key] for key in _CONFIG_FIELDS if key in job},
+        **{name: order[key] for key, name in (("tol", "order_tol"),
+                                              ("fixed", "fixed_order"))
+           if key in order})
     config.validate()
     return job, config
 

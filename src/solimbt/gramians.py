@@ -17,13 +17,15 @@ from ``ldl_compress(G, S) = (U, diag(eta))`` of a band or window pair and
 dominates that right-hand side from above.  The builders and the sign
 solver ``lyapunov.solve_lyap_pencil`` all read the realization's one
 standard form ``X = calE^{-1} calA``, so ``calE`` is factored at most once
-per realization.
+per realization.  :func:`partition` splits the factors at the
+position/velocity boundary; the second-order characteristic values of
+each product kind are the ``sigma`` that
+``balancing.second_order_projectors`` returns.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as spla
 
 from . import lyapunov, matfun
 from .errors import DimensionMismatch, InvalidParams
@@ -54,12 +56,6 @@ class PartitionedFactors:
     R_v: np.ndarray
     L_p: np.ndarray
     L_v: np.ndarray
-
-
-@dataclass
-class CharacteristicValues:
-    kind: str
-    values: np.ndarray
 
 
 def _solve_pair(real, make_rhs, flavor, band=None, window=None, solver="sign"):
@@ -138,25 +134,3 @@ def partition(pair, n):
         raise DimensionMismatch("factors do not match a 2n-dimensional realization")
     return PartitionedFactors(R_p=R[:n], R_v=R[n:], L_p=L[:n], L_v=L[n:])
 
-
-def characteristic_values(parts, J, M):
-    """Second-order characteristic values of all four kinds.
-
-    Computed as singular values of the small factored products (the Gramian
-    products themselves are never formed):
-
-    =================== =================
-    position            ``L_p^T J R_p``
-    position_velocity   ``L_v^T M R_p``
-    velocity_position   ``L_p^T J R_v``
-    velocity            ``L_v^T M R_v``
-    =================== =================
-    """
-    prods = {
-        "position": parts.L_p.T @ J @ parts.R_p,
-        "position_velocity": parts.L_v.T @ M @ parts.R_p,
-        "velocity_position": parts.L_p.T @ J @ parts.R_v,
-        "velocity": parts.L_v.T @ M @ parts.R_v,
-    }
-    return {kind: CharacteristicValues(kind, spla.svdvals(prod))
-            for kind, prod in prods.items()}

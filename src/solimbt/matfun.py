@@ -113,15 +113,6 @@ class TimeWindow:
         if not (0.0 <= self.t0 < self.tf):
             raise InvalidParams(f"bad time window [{self.t0}, {self.tf}]")
 
-    @classmethod
-    def from_intervals(cls, intervals):
-        """Collapse a union of windows to its hull [min t0, max tf]."""
-        if not intervals:
-            raise InvalidParams("window union is empty")
-        t0 = min(a for a, _ in intervals)
-        tf = max(b for _, b in intervals)
-        return cls(float(t0), float(tf))
-
 
 def _taylor_plan(A):
     """``(S, mu, m, s)`` for the Taylor action of ``exp(A)``: the shifted

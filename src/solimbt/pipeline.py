@@ -70,9 +70,11 @@ def hybrid_prereduce(sys, omegas, tol=1e-12):
     Collects input directions ``(s^2 M + s E + K)^{-1} B_u`` and dual output
     directions at ``s = i omega`` for every sample frequency, splits them
     into real and imaginary parts (closing the set under conjugation), and
-    orthonormalizes with a rank cut at ``tol`` relative.  The congruence
-    ``V^T (.) V`` preserves symmetry and definiteness, and the pre-reduced
-    model interpolates the original transfer function at every sample point.
+    orthonormalizes with a rank cut at ``tol`` relative.  The pre-reduced
+    model is the Galerkin projection ``apply_projection(sys, V, V)``: the
+    congruence ``V^T (.) V`` preserves symmetry and definiteness, and the
+    pre-reduced model interpolates the original transfer function at every
+    sample point.
     Sparse ``M, E, K`` stay sparse here (one factorization per sample
     point, LAPACK's band LU for a banded pattern and SuperLU otherwise);
     the pre-reduced model is dense.
@@ -94,10 +96,7 @@ def hybrid_prereduce(sys, omegas, tol=1e-12):
         raise InvalidParams("sample frequencies must be positive and finite")
     V = spla.orth(_dual_directions(sys, 1j * omegas, SingularShiftedSystem),
                   rcond=tol)
-    pre = make_second_order(
-        V.T @ (sys.M @ V), V.T @ (sys.E @ V), V.T @ (sys.K @ V),
-        V.T @ sys.B_u, sys.C_p @ V, sys.C_v @ V)
-    return pre, V
+    return balancing.apply_projection(sys, V, V), V
 
 
 @dataclass
@@ -118,9 +117,11 @@ class ReductionConfig:
     unless ``band`` is a :class:`~solimbt.matfun.FrequencyBand`, given
     exactly when ``method`` is ``"flbt"``, ``window`` a
     :class:`~solimbt.matfun.TimeWindow`, given exactly when ``method`` is
-    ``"tlbt"``, and ``hybrid`` a pair with a nonnegative ``tol``; ``alpha``
-    must be nonnegative, ``order_tol`` positive, ``fixed_order`` an integer, and
-    ``modified`` Gramians need ``flbt`` or ``tlbt`` and the sign solver.
+    ``"tlbt"``, and ``hybrid`` a pair with ``0 <= tol < 1``; ``alpha``
+    must be nonnegative, ``order_tol`` positive, ``fixed_order`` an integer,
+    ``gamma`` needs the ``"dissipative"`` realization, a ``j`` other than
+    ``"identity"`` the ``"companion"`` one, and ``modified`` Gramians need
+    ``flbt`` or ``tlbt`` and the sign solver.
     """
 
     method: str = "bt"
@@ -161,15 +162,22 @@ class ReductionConfig:
                             ("hybrid tol", hybrid_tol)):
             if value is None or not _none_or_number(value, numbers.Real):
                 raise InvalidParams(f"{name} must be a real number, got {value!r}")
-        for name, value in (("alpha", self.alpha), ("hybrid tol", hybrid_tol)):
-            if not value >= 0.0:
-                raise InvalidParams(f"{name} must be nonnegative, got {value!r}")
+        if not self.alpha >= 0.0:
+            raise InvalidParams(f"alpha must be nonnegative, got {self.alpha!r}")
+        if not 0.0 <= hybrid_tol < 1.0:  # a tol of 1 or more keeps no direction
+            raise InvalidParams(f"hybrid tol must lie in [0, 1), got {hybrid_tol!r}")
         if not self.order_tol > 0.0:
             raise InvalidParams(f"order tolerance must be positive, got {self.order_tol!r}")
         if not _none_or_number(self.fixed_order, numbers.Integral):
             raise InvalidParams(f"fixed order must be an integer, got {self.fixed_order!r}")
         if not _none_or_number(self.gamma, numbers.Real):
             raise InvalidParams(f"gamma must be a real number, got {self.gamma!r}")
+        if self.gamma is not None and self.realization != "dissipative":
+            raise InvalidParams("gamma is only valid for the dissipative realization")
+        if (self.realization != "companion"
+                and not (isinstance(self.j, str) and self.j == "identity")):
+            raise InvalidParams("a coupling block j is only valid for the companion "
+                                "realization")
         if not isinstance(self.modified, bool):
             raise InvalidParams(f"modified must be true or false, got {self.modified!r}")
         if self.modified and self.method == "bt":

@@ -267,7 +267,7 @@ def make_second_order(M, E, K, B_u, C_p, C_v):
     Raises
     ------
     DimensionMismatch
-        If the shapes are inconsistent.
+        If the shapes are inconsistent or ``M`` is empty.
     InvalidParams
         If an entry is not finite.
     SingularMass
@@ -284,6 +284,8 @@ def make_second_order(M, E, K, B_u, C_p, C_v):
     C_p = _as_matrix(C_p, "C_p")
     C_v = _as_matrix(C_v, "C_v")
     n = M.shape[0]
+    if n == 0:
+        raise DimensionMismatch("a second-order system needs at least one state")
     for name, A in (("M", M), ("E", E), ("K", K)):
         if A.shape != (n, n):
             raise DimensionMismatch(f"{name} must be {n}x{n}, got {A.shape}")
@@ -431,12 +433,15 @@ def gramian_backtransform(Z, sys, gamma):
     """Apply the dissipative-to-companion observability transform to a factor.
 
     For ``Qd = Z Y Z^T`` the companion-form Gramian is
-    ``(T^T Z) Y (T^T Z)^T``; this returns ``T^T Z``.
+    ``(T^T Z) Y (T^T Z)^T`` with ``T`` of
+    :func:`dissipative_backtransform_matrix`; this returns
+    ``T^T Z = [K^T Z_1 + gamma M^T Z_2; gamma Z_1 + Z_2]`` by blocks, so
+    ``M`` and ``K`` may be sparse.
     """
-    T = dissipative_backtransform_matrix(sys, gamma)
-    if Z.shape[0] != T.shape[0]:
+    n = sys.n
+    if Z.shape[0] != 2 * n:
         raise DimensionMismatch("factor rows must equal the realization dimension")
-    return T.T @ Z
+    return np.vstack([sys.K.T @ Z[:n] + gamma * (sys.M.T @ Z[n:]), gamma * Z[:n] + Z[n:]])
 
 
 def _common_pattern(mats):

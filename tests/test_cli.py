@@ -235,24 +235,31 @@ def test_reduce_config_errors(tmp_path, capsys):
     {"hybrid": "abc"}, {"hybrid": {"fmin": 0.5, "fmax": 10, "tol": "x"}},
     {"method": "flbt", "band": None, "window": [0, 1]},
     {"method": "bt"}, {"window": {"t0": 0, "tf": 1}},
+    {"hybrid": {"fmin": 0.5, "fmax": 10, "tol": 1}},
+    {"method": "bt", "band": None, "gamma": 0.1},
+    {"method": "bt", "band": None, "realization": "dissipative", "j": "neg_k"},
 ], ids=["modified-string", "fixed-float", "fixed-bool", "fixed-string",
         "gamma-string", "band-list", "input-number", "alpha-list",
         "alpha-string", "window-t0-list", "tol-list", "intervals-number",
         "hybrid-fmin-string", "hybrid-unit-Hz", "band-unit-Hz",
         "alpha-negative", "tol-negative", "tol-zero", "hybrid-fmin-negative",
         "hybrid-fmax-infinite", "hybrid-string", "hybrid-tol-string",
-        "window-list", "band-with-bt", "window-with-flbt"])
-def test_reduce_config_value_of_wrong_type(tmp_path, capsys, override):
+        "window-list", "band-with-bt", "window-with-flbt", "hybrid-tol-one",
+        "gamma-with-companion", "j-with-dissipative"])
+def test_reduce_config_value_of_wrong_type(tmp_path, capfd, override):
     # a value of the wrong JSON type or out of range, or a unit other than
     # "hz" and "rad", is a config error: it neither crashes, runs nor is
     # coerced ("false" is a true string, 2.5 would run order 2, "Hz" would
-    # read as rad/s, alpha -1 would run unshifted)
+    # read as rad/s, alpha -1 would run unshifted, a hybrid tol of 1 would
+    # keep no direction, gamma and j would be ignored); the one line of the
+    # error is all that reaches stderr
     model = str(tmp_path / "model")
     main(["generate", "--n", "10", "--out", model])
     cfg = _write_job(tmp_path / "job.json", **{
         "input": model, "output": str(tmp_path / "rom"), **override})
     assert main(["reduce", "--config", str(cfg)]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capfd.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert not (tmp_path / "rom").exists()
 
 

@@ -35,20 +35,18 @@ def test_scalar_infinite_pair_frozen():
 def test_scalar_characteristic_values_frozen():
     # Rank-one products: sigma_pos = sqrt(q11 p11) = sqrt(5)/4,
     # sigma_vel = sqrt(q22 p22) = 1/4, and the mixed kinds swap the blocks.
+    # Formula p balances the position product, v the velocity one, pv the
+    # position-velocity one (L_v^T M R_p) and vp the velocity-position one.
     sys = _scalar_so()
     pair = slt.infinite_gramians(slt.first_companion(sys))
     parts = slt.partition(pair, sys.n)
-    vals = slt.characteristic_values(parts, np.eye(1), sys.M)
-    assert set(vals) == {"position", "position_velocity",
-                         "velocity_position", "velocity"}
-    assert vals["position"].values[0] == pytest.approx(np.sqrt(5) / 4, abs=1e-12)
-    assert vals["velocity"].values[0] == pytest.approx(0.25, abs=1e-12)
-    assert vals["position_velocity"].values[0] == pytest.approx(0.25, abs=1e-12)
-    assert vals["velocity_position"].values[0] == pytest.approx(np.sqrt(5) / 4,
-                                                                abs=1e-12)
-    # anything beyond the first value of a rank-one product is noise
-    for cv in vals.values():
-        assert np.all(cv.values[1:] < 1e-12)
+    expected = {"p": np.sqrt(5) / 4, "v": 0.25, "pv": 0.25, "vp": np.sqrt(5) / 4}
+    for formula, value in expected.items():
+        sigma = slt.second_order_projectors(parts, np.eye(1), sys.M, formula,
+                                            fixed_r=1).sigma
+        assert sigma[0] == pytest.approx(value, abs=1e-12)
+        # anything beyond the first value of a rank-one product is noise
+        assert np.all(sigma[1:] < 1e-12)
 
 
 def test_scalar_unit_triple_frozen():

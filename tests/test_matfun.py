@@ -43,11 +43,6 @@ def test_window_validation_and_union():
         slt.TimeWindow(2.0, 1.0)
     with pytest.raises(errors.InvalidParams):
         slt.TimeWindow(-1.0, 1.0)
-    # unions collapse to the hull
-    win = slt.TimeWindow.from_intervals([(0.0, 1.0), (3.0, 5.0)])
-    assert (win.t0, win.tf) == (0.0, 5.0)
-    with pytest.raises(errors.InvalidParams):
-        slt.TimeWindow.from_intervals([])
 
 
 # ----------------------------------------------------------------------- expm

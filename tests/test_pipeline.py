@@ -102,6 +102,9 @@ def test_config_validation():
     slt.ReductionConfig(method="tlbt", window=win).validate()
     slt.ReductionConfig(solver="projection").validate()
     slt.ReductionConfig(alpha=1, order_tol=np.float64(1e-6)).validate()
+    slt.ReductionConfig(realization="dissipative", gamma=0.1).validate()
+    slt.ReductionConfig(realization="dissipative", j="identity").validate()
+    slt.ReductionConfig(j=np.eye(3)).validate()
 
 
 _BAND = slt.FrequencyBand([(0.1, 1.0)])
@@ -116,16 +119,26 @@ _WINDOW = slt.TimeWindow(0.0, 1.0)
     dict(method="bt", band=_BAND),
     dict(method="flbt", band=_BAND, window=_WINDOW),
     dict(hybrid=(np.array([0.1, 1.0]), np.nan)),
+    dict(hybrid=(np.array([0.1, 1.0]), 1.0)),
+    dict(gamma=-1.0),
+    dict(method="bt", gamma=0.1),
+    dict(realization="dissipative", j="neg_k"),
+    dict(realization="dissipative", j=np.eye(4)),
 ], ids=["hybrid-string", "hybrid-tol-string", "band-list", "window-tuple",
-        "band-with-bt", "window-with-flbt", "hybrid-tol-nan"])
-def test_config_errors_raise_invalid_params(kwargs):
+        "band-with-bt", "window-with-flbt", "hybrid-tol-nan", "hybrid-tol-one",
+        "gamma-negative-with-companion", "gamma-with-companion",
+        "j-with-dissipative", "j-array-with-dissipative"])
+def test_config_errors_raise_invalid_params(kwargs, capfd):
     # reduce runs validate first, so a malformed config fails before any work
     # as a config error, not as a bare ValueError, TypeError or AttributeError
-    # (or, for a NaN tol, as a singular pre-reduced model)
+    # (or, for a NaN tol or one of 1, as a singular or empty pre-reduced
+    # model), and nothing reaches stderr; a setting that the chosen
+    # realization ignores is rejected, not dropped
     with pytest.raises(errors.InvalidParams):
         slt.ReductionConfig(**kwargs).validate()
     with pytest.raises(errors.InvalidParams):
         slt.reduce(slt.generate_chain(4), slt.ReductionConfig(**kwargs))
+    assert capfd.readouterr().err == ""
 
 
 def test_reduce_coupling_block_choices():

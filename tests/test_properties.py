@@ -1,6 +1,7 @@
 """Property suites (hypothesis), run derandomized so the suite is
 deterministic: every run draws the same examples."""
 
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import solimbt as slt
-from solimbt import matfun
+from solimbt import matfun, mmio
 from solimbt.system import _rcond
 
 from helpers import random_second_order, rhs_blocks, solve_lyap_dense_oracle, stable_generic
@@ -149,3 +150,68 @@ def test_blocked_simulation_matches_sparse_stepping(sys, steps, h, seed):
     got = slt.simulate(sys, sig, t, return_states=True)
     for a, b in ((got.states, ref.states), (got.outputs, ref.outputs)):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+@DETERMINISTIC
+@given(sys=second_order_systems(), omegas=FREQS)
+def test_companion_and_dissipative_realizations_agree(sys, omegas):
+    # criterion 09 on random systems: the same transfer function, and the
+    # sign-route observability Gramian of the dissipative form maps back to
+    # the companion form's
+    comp = slt.first_companion(sys)
+    diss = slt.strictly_dissipative(sys)
+    s = 1j * np.array(omegas)
+    assert _rel(slt.eval_transfer(diss, s), slt.eval_transfer(comp, s)) <= 1e-6
+    obs = slt.infinite_gramians(diss).observability
+    Q = slt.GramianFactor(slt.gramian_backtransform(obs.Z, sys, diss.gamma), obs.Y)
+    assert _rel(Q.matrix(), slt.infinite_gramians(comp).observability.matrix()) <= 1e-8
+
+
+@st.composite
+def bundled_systems(draw):
+    """Systems with dense or CSC ``M, E, K`` whose fill ranges from the
+    diagonal alone to full, so some bundles load dense and some sparse."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    density = draw(st.floats(0.0, 1.0))
+
+    def block():
+        R = np.where(rng.random((n, n)) < density, rng.standard_normal((n, n)), 0.0)
+        return scipy.sparse.csc_array(R + 3.0 * n * np.eye(n))
+
+    mats = [block() for _ in range(3)]
+    if not draw(st.booleans()):
+        mats = [A.toarray() for A in mats]
+    return slt.make_second_order(*mats, rng.standard_normal((n, 2)),
+                                 rng.standard_normal((3, n)), rng.standard_normal((3, n)))
+
+
+def _as_dense(A):
+    return A.toarray() if scipy.sparse.issparse(A) else A
+
+
+@DETERMINISTIC
+@given(sys=bundled_systems())
+def test_bundle_round_trip_is_bit_exact(sys):
+    with tempfile.TemporaryDirectory() as tmp:
+        slt.save_bundle(tmp, sys)
+        back, _ = slt.load_bundle(tmp)
+    for name in ("M", "E", "K", "B_u", "C_p", "C_v"):
+        assert np.array_equal(_as_dense(getattr(back, name)), _as_dense(getattr(sys, name)))
+    dense = all(np.count_nonzero(_as_dense(getattr(sys, k))) >= mmio.DENSE_FILL_MIN * sys.n**2
+                for k in "MEK")
+    assert all(scipy.sparse.issparse(getattr(back, k)) != dense for k in "MEK")
+
+
+@DETERMINISTIC
+@given(sigma=st.lists(st.floats(1e-12, 1e3), min_size=1, max_size=30),
+       tols=st.lists(st.floats(1e-12, 10.0), min_size=2, max_size=5),
+       fixed=st.integers(1, 30))
+def test_select_order_shrinks_as_tol_grows_and_fixed_order_wins(sigma, tols, fixed):
+    sigma = np.sort(sigma)[::-1]
+    tols = sorted(tols)
+    orders = [slt.select_order(sigma, tol=tol) for tol in tols]
+    assert all(1 <= r <= sigma.size for r in orders)
+    assert all(a >= b for a, b in zip(orders, orders[1:]))
+    r = min(fixed, sigma.size)
+    assert all(slt.select_order(sigma, tol=tol, fixed_r=r) == r for tol in tols)

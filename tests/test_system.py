@@ -71,7 +71,7 @@ def test_chain_invalid_parameters():
         slt.generate_chain(4, coupling_stiffness=[1.0, 2.0])  # needs n-1 = 3
 
 
-def test_make_second_order_shape_errors():
+def test_make_second_order_shape_errors(capfd):
     ident = np.eye(3)
     B = np.ones((3, 1))
     C = np.ones((2, 3))
@@ -85,6 +85,13 @@ def test_make_second_order_shape_errors():
         slt.make_second_order(ident, ident, ident, B, C, np.ones((1, 3)))
     with pytest.raises(errors.InvalidParams):
         slt.make_second_order(ident * np.nan, ident, ident, B, C, C)
+    # an empty model fails before LAPACK sees it (which would print an
+    # "illegal value" line to stderr and find M singular)
+    for empty in (np.zeros((0, 0)), scipy.sparse.csc_array((0, 0))):
+        with pytest.raises(errors.DimensionMismatch):
+            slt.make_second_order(empty, empty, empty, np.zeros((0, 1)),
+                                  np.zeros((2, 0)), np.zeros((2, 0)))
+    assert capfd.readouterr().err == ""
 
 
 def test_system_matrices_are_read_only_copies():
@@ -255,6 +262,18 @@ def test_dissipative_backtransform_recovers_companion_gramian():
     assert_allclose(slt.gramian_backtransform(Z, sys, diss.gamma), T.T @ Z)
     with pytest.raises(errors.DimensionMismatch):
         slt.gramian_backtransform(np.ones((4, 1)), sys, diss.gamma)
+
+
+def test_gramian_backtransform_by_blocks_dense_and_sparse():
+    # the block formula agrees with the dense 2n x 2n transform, and takes
+    # the chain's sparse M and K as they are
+    chain = slt.generate_chain(30)
+    gamma = slt.strictly_dissipative(chain).gamma
+    Z = np.random.default_rng(4).standard_normal((60, 5))
+    ref = dissipative_backtransform_matrix(chain, gamma).T @ Z
+    for sys in (_dense(chain), chain):
+        got = slt.gramian_backtransform(Z, sys, gamma)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_eval_transfer_scalar_frozen():
