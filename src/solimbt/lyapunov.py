@@ -27,6 +27,7 @@ import scipy.linalg as spla
 
 from .errors import (
     DimensionMismatch,
+    NonFinite,
     NotConverged,
     UnstablePencil,
     UnstableProjection,
@@ -148,47 +149,73 @@ def solve_lyap_sign_dual(X, rhs_c, rhs_o):
     NotConverged
         If the cap of ``SIGN_MAXITER`` iterations is hit.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.array(X, dtype=float)  # the iterate, updated in place
     N = X.shape[0]
     B, Yc = rhs_c.G, rhs_c.S
     Ct, Yo = rhs_o.G, rhs_o.S
     if X.shape != (N, N) or B.shape[0] != N or Ct.shape[0] != N:
         raise DimensionMismatch("X must be square and the factors must have its N rows")
+    x_norm = spla.norm(X, check_finite=False)
+    if not (np.isfinite(x_norm) and np.all(np.isfinite(B)) and np.all(np.isfinite(Ct))):
+        raise NonFinite("sign iteration input has non-finite entries")
 
-    ident = np.eye(N)
-    norm_scale = max(spla.norm(X), np.sqrt(N))
-    rel_err = spla.norm(X + ident) / np.sqrt(N)
+    getrf, getri, getri_lwork = spla.get_lapack_funcs(
+        ("getrf", "getri", "getri_lwork"), (X,))
+    lwork = int(getri_lwork(N)[0])
+    lu = np.empty((N, N), order="F")  # X, then its LU factors and its inverse
+    x_inv = np.empty((N, N))  # X^{-1}, then X + I
+
+    def dist_to_minus_identity():
+        np.copyto(x_inv, X)
+        x_inv.flat[::N + 1] += 1.0
+        return spla.norm(x_inv, check_finite=False)
+
+    sqrt_n = np.sqrt(N)
+    norm_scale = max(x_norm, sqrt_n)
+    rel_err = dist_to_minus_identity() / sqrt_n
+    scaling, ranks = [], []
     num_iter = 0
     while rel_err > SIGN_TOL and num_iter < SIGN_MAXITER:
-        try:
-            Xinv = spla.inv(X)
-        except spla.LinAlgError as exc:
-            raise UnstablePencil("singular iterate; pencil eigenvalue at the origin") from exc
-        if not np.all(np.isfinite(Xinv)):
+        # factoring an F-ordered copy of X makes the inverse bit-equal to
+        # scipy.linalg.inv(X)
+        np.copyto(lu, X)
+        lu_x, piv, status = getrf(lu, overwrite_a=True)
+        if status > 0:
+            raise UnstablePencil("singular iterate; pencil eigenvalue at the origin")
+        np.copyto(x_inv, getri(lu_x, piv, lwork=lwork, overwrite_lu=True)[0])
+        inv_norm = spla.norm(x_inv, check_finite=False)
+        if not np.isfinite(inv_norm):
             raise UnstablePencil("sign iteration produced non-finite values")
         # Frobenius-norm scaling, skipped close to convergence where it
         # would perturb the quadratic phase
-        c = np.sqrt(spla.norm(X) / spla.norm(Xinv)) if rel_err > 1e-2 else 1.0
+        c = np.sqrt(x_norm / inv_norm) if rel_err > 1e-2 else 1.0
+        inv_b, inv_t_ct = x_inv @ B, x_inv.T @ Ct
         half_c, half_inv = 0.5 * c, 0.5 / c
 
-        B, Yc = ldl_compress(np.hstack([B, Xinv @ B]),
+        B, Yc = ldl_compress(np.hstack([B, inv_b]),
                              spla.block_diag(half_inv * Yc, half_c * Yc),
                              tol=COMPRESS_TOL)
-        Ct, Yo = ldl_compress(np.hstack([Ct, Xinv.T @ Ct]),
+        Ct, Yo = ldl_compress(np.hstack([Ct, inv_t_ct]),
                               spla.block_diag(half_inv * Yo, half_c * Yo),
                               tol=COMPRESS_TOL)
-
-        X = half_inv * X + half_c * Xinv
+        scaling.append(float(c))
+        ranks.append((B.shape[1], Ct.shape[1]))
         num_iter += 1
-        rel_err = spla.norm(X + ident) / np.sqrt(N)
-        if spla.norm(X) > 1e8 * norm_scale:
+
+        X *= half_inv
+        x_inv *= half_c
+        X += x_inv
+        x_norm = spla.norm(X, check_finite=False)
+        rel_err = dist_to_minus_identity() / sqrt_n
+        if x_norm > 1e8 * norm_scale:
             raise UnstablePencil("sign iteration diverged; pencil is not c-stable")
-    if rel_err > SIGN_TOL:
+    if not rel_err <= SIGN_TOL:
         raise NotConverged(f"sign iteration: rel error {rel_err:.3e} > "
                            f"{SIGN_TOL:.1e} after {num_iter} steps")
 
     # the iterated factors converge to those of 2 P and 2 W
-    info = {"num_iter": num_iter, "rel_err": rel_err}
+    info = {"num_iter": num_iter, "rel_err": rel_err, "scaling": scaling,
+            "ranks": ranks}
     return GramianFactor(B, 0.5 * Yc), GramianFactor(Ct, 0.5 * Yo), info
 
 
