@@ -23,8 +23,14 @@ from .system import SineSignal, StepSignal, generate_chain, simulate
 
 
 def _json_safe(x):
-    """``x``, or the string ``"inf"``, ``"-inf"`` or ``"nan"`` for a
-    non-finite float."""
+    """``x`` as JSON data, item by item: a numpy array or tuple as a list, and
+    ``"inf"``, ``"-inf"`` or ``"nan"`` for a non-finite float."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        x = x.tolist()
+    if isinstance(x, dict):
+        return {key: _json_safe(value) for key, value in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_safe(item) for item in x]
     if isinstance(x, float) and not np.isfinite(x):
         return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
     return x
@@ -139,7 +145,7 @@ def _load_job(path):
                                 f"finite, got {h['fmin']!r} and {h['fmax']!r}")
         omegas = np.logspace(np.log10(lo), np.log10(hi),
                              _number(h.get("points", 200), "points", numbers.Integral))
-        hybrid = (omegas, h.get("tol", 1e-12))
+        hybrid = (omegas, h.get("tol", pipeline.HYBRID_TOL))
 
     config = pipeline.ReductionConfig(
         band=band, window=window, hybrid=hybrid,
@@ -164,9 +170,10 @@ def cmd_reduce(args):
         "stable": rom.stable,
         "formula": rom.formula,
         "method": rom.method,
-        "sigma": [_json_safe(float(s)) for s in rom.sigma[:50]],
+        "sigma": _json_safe(rom.sigma[:50]),
         "truncated_sum": _json_safe(rom.truncated_tail),
         "timings": {k: round(v, 6) for k, v in rom.details["timings"].items()},
+        "gramian_info": _json_safe(rom.details["gramian_info"]),
         "wall_time_s": round(wall, 6),
     }
     with open(f"{out}/report.json", "w") as fh:

@@ -9,12 +9,10 @@ simultaneously in the standard form ``X = calE^{-1} calA`` that the
 realization forms once (Benner & Quintana-Orti, Numer. Algorithms 20,
 1999): ``X P + P X^T + (calE^{-1} G_c) S_c (calE^{-1} G_c)^T = 0`` and
 ``X^T W + W X + G_o S_o G_o^T = 0`` with ``W = calE^T Q calE`` share the
-iterates of ``X``, so one inverse per step serves both.  A step costs one
-LAPACK ``getrf`` and ``getri``; the last step, once the distance of the
-iterate from ``-I`` certifies convergence, needs only two ``getrs`` solves
-of the thin factors with the LU of the iterate.  Right-hand sides are kept in factored indefinite
-form ``G S G^T``, which is exactly what the limited balancing variants
-produce.
+iterates of ``X``, so one LAPACK ``getrf`` and ``getri`` per step serve
+both, and a certified last step needs only ``getrs`` solves of the factors.
+Right-hand sides are kept in factored indefinite form ``G S G^T``, which is
+exactly what the limited balancing variants produce.
 
 The rational-Krylov projection solver covers problems where dense sign
 iteration is too expensive: it Galerkin-projects the realization onto the
@@ -141,27 +139,18 @@ def solve_lyap_sign_dual(X, rhs_c, rhs_o):
     ``X^T W + W X + G_o S_o G_o^T = 0`` with :class:`IndefiniteRhs` factors
     ``rhs_c`` and ``rhs_o`` and a c-stable ``N x N`` ``X``.  Its settings
     are the module constants ``SIGN_TOL``, ``SIGN_MAXITER`` and
-    ``COMPRESS_TOL``.
+    ``COMPRESS_TOL``.  A step costs one ``getrf`` and ``getri`` (bit-equal
+    to ``scipy.linalg.inv``).  Unscaled, ``X_{k+1} + I = (X_k + I)^2
+    X_k^{-1} / 2``, so ``d = ||X_k + I||_F < 1`` bounds the next distance by
+    ``d^2 / (2 (1 - d))``; once that is at most ``SIGN_TOL sqrt(N)``, the
+    last step is thin: two ``getrs`` give ``X_k^{-1} G_c`` and
+    ``X_k^{-T} G_o``, and ``X_k`` is not updated.
 
-    A step inverts the iterate with one LAPACK ``getrf`` and ``getri``
-    (bit-equal to ``scipy.linalg.inv``) and applies the Frobenius-norm
-    scaling ``c_k`` while ``||X_k + I||_F / sqrt(N) > 1e-2``.  Unscaled,
-    ``X_{k+1} + I = (X_k + I)^2 X_k^{-1} / 2``, so with
-    ``d = ||X_k + I||_F < 1`` the next distance is at most
-    ``d^2 / (2 (1 - d))``.  When that bound is at most ``SIGN_TOL sqrt(N)``
-    the step is the last one and is thin: two ``getrs`` solves with the LU
-    give ``X_k^{-1} G_c`` and ``X_k^{-T} G_o``, and the iterate itself is
-    not updated.
-
-    Returns
-    -------
-    (P, W, info)
-        :class:`GramianFactor` solutions whose factors are the compressed
-        iterates, and a dict with ``num_iter``, ``rel_err`` (the final
-        ``||X + I||_F / sqrt(N)``, or its certified bound after a thin last
-        step), the per-step ``scaling`` factors ``c_k``, the factor
-        ``ranks`` ``(rank_c, rank_o)`` after each compression, and
-        ``thin_last``, whether the last step was thin.
+    Returns ``(P, W, info)``: :class:`GramianFactor` solutions whose factors
+    are the compressed iterates, and a dict with ``num_iter``, ``rel_err``
+    (``||X + I||_F / sqrt(N)``, or the bound after a thin last step), the
+    per-step ``scaling`` factors and factor ``ranks`` ``(rank_c, rank_o)``,
+    and ``thin_last``.
 
     Raises
     ------
@@ -176,8 +165,8 @@ def solve_lyap_sign_dual(X, rhs_c, rhs_o):
     N = X.shape[0]
     B, Yc = rhs_c.G, rhs_c.S
     Ct, Yo = rhs_o.G, rhs_o.S
-    if X.shape != (N, N) or B.shape[0] != N or Ct.shape[0] != N:
-        raise DimensionMismatch("X must be square and the factors must have its N rows")
+    if N == 0 or X.shape != (N, N) or B.shape[0] != N or Ct.shape[0] != N:
+        raise DimensionMismatch("X must be square, N >= 1, and the factors need N rows")
     x_norm = spla.norm(X, check_finite=False)
     if not (np.isfinite(x_norm) and np.all(np.isfinite(B)) and np.all(np.isfinite(Ct))):
         raise NonFinite("sign iteration input has non-finite entries")
@@ -185,31 +174,21 @@ def solve_lyap_sign_dual(X, rhs_c, rhs_o):
     getrf, getri, getrs, getri_lwork = spla.get_lapack_funcs(
         ("getrf", "getri", "getrs", "getri_lwork"), (X,))
     lwork = int(getri_lwork(N)[0])
+    ident, x_inv = np.eye(N), np.empty((N, N))  # x_inv: X^{-1}, then X + I
     lu = np.empty((N, N), order="F")  # X, then its LU factors and its inverse
-    x_inv = np.empty((N, N))  # X^{-1}, then X + I
-
-    def dist_to_minus_identity():
-        np.copyto(x_inv, X)
-        x_inv.flat[::N + 1] += 1.0
-        return spla.norm(x_inv, check_finite=False)
-
-    sqrt_n = np.sqrt(N)
+    sqrt_n = float(np.sqrt(N))
     norm_scale = max(x_norm, sqrt_n)
-    dist = dist_to_minus_identity()
-    rel_err = dist / sqrt_n
-    scaling, ranks = [], []
-    num_iter = 0
-    thin = False
-    while rel_err > SIGN_TOL and num_iter < SIGN_MAXITER:
-        # factoring an F-ordered copy of X makes the inverse bit-equal to
-        # scipy.linalg.inv(X)
+    dist = float(spla.norm(np.add(X, ident, out=x_inv), check_finite=False))
+    scaling, ranks, thin = [], [], False
+    while dist / sqrt_n > SIGN_TOL and len(scaling) < SIGN_MAXITER:
+        # factoring an F-ordered copy of X, as scipy.linalg.inv(X) does,
+        # gives an inverse bit-equal to inv's
         np.copyto(lu, X)
         lu_x, piv, status = getrf(lu, overwrite_a=True)
         if status > 0:
             raise UnstablePencil("singular iterate; pencil eigenvalue at the origin")
-        # the certified thin last step (docstring)
         bound = dist ** 2 / (2.0 * (1.0 - dist)) if dist < 1.0 else np.inf
-        thin = rel_err <= 1e-2 and bound <= SIGN_TOL * sqrt_n
+        thin = dist / sqrt_n <= 1e-2 and bound <= SIGN_TOL * sqrt_n
         if thin:
             c = 1.0
             inv_b, inv_t_ct = getrs(lu_x, piv, B)[0], getrs(lu_x, piv, Ct, trans=1)[0]
@@ -220,7 +199,7 @@ def solve_lyap_sign_dual(X, rhs_c, rhs_o):
                 raise UnstablePencil("sign iteration produced non-finite values")
             # Frobenius-norm scaling, skipped close to convergence where it
             # would perturb the quadratic phase
-            c = np.sqrt(x_norm / inv_norm) if rel_err > 1e-2 else 1.0
+            c = np.sqrt(x_norm / inv_norm) if dist / sqrt_n > 1e-2 else 1.0
             inv_b, inv_t_ct = x_inv @ B, x_inv.T @ Ct
         half_c, half_inv = 0.5 * c, 0.5 / c
 
@@ -232,25 +211,24 @@ def solve_lyap_sign_dual(X, rhs_c, rhs_o):
                               tol=COMPRESS_TOL)
         scaling.append(float(c))
         ranks.append((B.shape[1], Ct.shape[1]))
-        num_iter += 1
         if thin:
-            rel_err = bound / sqrt_n
+            dist = bound
             break
 
         X *= half_inv
         x_inv *= half_c
         X += x_inv
         x_norm = spla.norm(X, check_finite=False)
-        dist = dist_to_minus_identity()
-        rel_err = dist / sqrt_n
+        dist = float(spla.norm(np.add(X, ident, out=x_inv), check_finite=False))
         if x_norm > 1e8 * norm_scale:
             raise UnstablePencil("sign iteration diverged; pencil is not c-stable")
+    rel_err = dist / sqrt_n
     if not rel_err <= SIGN_TOL:
         raise NotConverged(f"sign iteration: rel error {rel_err:.3e} > "
-                           f"{SIGN_TOL:.1e} after {num_iter} steps")
+                           f"{SIGN_TOL:.1e} after {len(scaling)} steps")
 
     # the iterated factors converge to those of 2 P and 2 W
-    info = {"num_iter": num_iter, "rel_err": rel_err, "scaling": scaling,
+    info = {"num_iter": len(scaling), "rel_err": rel_err, "scaling": scaling,
             "ranks": ranks, "thin_last": thin}
     return GramianFactor(B, 0.5 * Yc), GramianFactor(Ct, 0.5 * Yo), info
 

@@ -35,6 +35,7 @@ from .system import (
 )
 
 METHODS = ("bt", "flbt", "tlbt")
+HYBRID_TOL = 1e-12  # default relative rank cut of the pre-reduction basis
 
 
 def alpha_shift(sys, alpha):
@@ -64,7 +65,20 @@ def _shift(sys, a):
         sys.B_u, sys.C_p + a * sys.C_v, sys.C_v)
 
 
-def hybrid_prereduce(sys, omegas, tol=1e-12):
+def _sample_frequencies(omegas):
+    """``omegas`` as a non-empty 1d array of positive, finite floats, or ``InvalidParams``."""
+    try:
+        omegas = np.asarray(omegas, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParams(f"sample frequencies must be numbers: {exc}") from exc
+    if omegas.ndim != 1 or omegas.size == 0:
+        raise InvalidParams("need a non-empty 1d array of sample frequencies")
+    if not np.all((omegas > 0.0) & np.isfinite(omegas)):
+        raise InvalidParams("sample frequencies must be positive and finite")
+    return omegas
+
+
+def hybrid_prereduce(sys, omegas, tol=HYBRID_TOL):
     """One-sided rational-interpolation pre-reduction.
 
     Collects input directions ``(s^2 M + s E + K)^{-1} B_u`` and dual output
@@ -86,14 +100,7 @@ def hybrid_prereduce(sys, omegas, tol=1e-12):
     SingularShiftedSystem
         If a sample point coincides with a system pole.
     """
-    try:
-        omegas = np.asarray(omegas, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParams(f"sample frequencies must be numbers: {exc}") from exc
-    if omegas.ndim != 1 or omegas.size == 0:
-        raise InvalidParams("need a non-empty 1d array of sample frequencies")
-    if not np.all((omegas > 0.0) & np.isfinite(omegas)):
-        raise InvalidParams("sample frequencies must be positive and finite")
+    omegas = _sample_frequencies(omegas)
     V = spla.orth(_dual_directions(sys, 1j * omegas, SingularShiftedSystem),
                   rcond=tol)
     return balancing.apply_projection(sys, V, V), V
@@ -117,8 +124,9 @@ class ReductionConfig:
     unless ``band`` is a :class:`~solimbt.matfun.FrequencyBand`, given
     exactly when ``method`` is ``"flbt"``, ``window`` a
     :class:`~solimbt.matfun.TimeWindow`, given exactly when ``method`` is
-    ``"tlbt"``, and ``hybrid`` a pair with ``0 <= tol < 1``; ``alpha``
-    must be nonnegative, ``order_tol`` positive, ``fixed_order`` an integer,
+    ``"tlbt"``, and ``hybrid`` a pair of a non-empty 1d array of positive,
+    finite ``omegas`` and ``0 <= tol < 1``; ``alpha`` must be nonnegative,
+    ``order_tol`` positive, ``fixed_order`` an integer,
     ``gamma`` needs the ``"dissipative"`` realization, a ``j`` other than
     ``"identity"`` the ``"companion"`` one, and ``modified`` Gramians need
     ``flbt`` or ``tlbt`` and the sign solver.
@@ -153,6 +161,8 @@ class ReductionConfig:
         if not (self.hybrid is None or isinstance(self.hybrid, (tuple, list))
                 and len(self.hybrid) == 2):
             raise InvalidParams(f"hybrid must be a pair (omegas, tol), got {self.hybrid!r}")
+        if self.hybrid is not None:
+            _sample_frequencies(self.hybrid[0])
         if self.realization not in ("companion", "dissipative"):
             raise InvalidParams(f"unknown realization {self.realization!r}")
         if self.solver not in ("sign", "projection"):
@@ -226,8 +236,7 @@ def reduce(sys, config):
         timings["prereduce"] = time.perf_counter() - t0
         if config.band is not None:
             lo, hi = config.band.hull
-            om = np.asarray(omegas, dtype=float)
-            if om.min() >= lo and om.max() <= hi:
+            if min(omegas) >= lo and max(omegas) <= hi:
                 warnings.warn(
                     "hybrid sample points restricted to the band; "
                     "out-of-band behaviour of the pre-reduced model is "

@@ -143,8 +143,28 @@ def test_reduce_job(tmp_path, capsys):
     assert isinstance(report["stable"], bool)
     assert len(report["sigma"]) <= 50
     assert "wall_time_s" in report and "timings" in report
+    info = report["gramian_info"]
+    steps = info["num_iter"]
+    assert 1 <= steps <= 10 and info["rel_err"] <= slt.lyapunov.SIGN_TOL
+    assert len(info["scaling"]) == steps and info["scaling"][-1] == 1.0
+    assert len(info["ranks"]) == steps and all(len(r) == 2 for r in info["ranks"])
+    assert info["thin_last"] is True
     rom, _ = slt.load_bundle(tmp_path / "rom")
     assert rom.n == 3 and isinstance(rom.M, np.ndarray)
+
+
+def test_reduce_job_projection_info(tmp_path):
+    # the projection route's trace history (numpy arrays) reaches report.json
+    model = str(tmp_path / "model")
+    main(["generate", "--n", "12", "--out", model])
+    cfg = _write_job(tmp_path / "job.json", input=model, output=str(tmp_path / "rom"),
+                     solver="projection", realization="dissipative")
+    assert main(["reduce", "--config", str(cfg)]) == 0
+    info = json.loads((tmp_path / "rom" / "report.json").read_text())["gramian_info"]
+    assert 1 <= info["dim"] <= 24
+    history = info["trace_history"]
+    assert history and all(len(t) == 2 and all(isinstance(x, float) for x in t)
+                           for t in history)
 
 
 def test_reduce_job_tlbt(tmp_path):

@@ -138,6 +138,67 @@ def test_sign_chain_iteration_count(build):
     assert max(pair.info["num_iter"] for pair in pairs) <= 7
 
 
+@pytest.mark.parametrize("where", ["nan-in-X", "inf-in-X", "nan-in-factor"])
+def test_sign_non_finite_input(where):
+    # typed, before any LAPACK call: not scipy's untyped ValueError, and not
+    # a NaN distance that ends the loop with unconverged factors
+    X, G = -np.eye(3) - np.diag([1.0, 2.0], 1), np.ones((3, 1))
+    if where == "nan-in-factor":
+        G[1, 0] = np.nan
+    else:
+        X[0, 2] = np.nan if where == "nan-in-X" else np.inf
+    with pytest.raises(errors.NonFinite):
+        slt.solve_lyap_sign_dual(X, slt.IndefiniteRhs.definite(G),
+                                 slt.IndefiniteRhs.definite(np.ones((3, 1))))
+
+
+def test_sign_route_never_calls_inv(monkeypatch):
+    # the iteration inverts through LAPACK directly
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg.inv called")
+    monkeypatch.setattr(spla, "inv", refuse)
+    rom = slt.reduce(slt.generate_chain(20), slt.ReductionConfig(method="bt"))
+    assert rom.r >= 1 and rom.details["gramian_info"]["num_iter"] >= 1
+
+
+def test_sign_chain300_thin_last_step():
+    # the benchmark size: 7 steps on every right-hand side, the last one
+    # thin, with the certified bound as its error
+    real = slt.first_companion(slt.generate_chain(300))
+    for pair in (slt.infinite_gramians(real),
+                 slt.frequency_limited_gramians(real, slt.FrequencyBand.from_hz([(1.0, 100.0)])),
+                 slt.time_limited_gramians(real, slt.TimeWindow(0.0, 20.0))):
+        info = pair.info
+        assert info["num_iter"] == 7
+        assert info["rel_err"] <= lyapunov.SIGN_TOL
+        assert info["thin_last"] is True
+        assert len(info["scaling"]) == len(info["ranks"]) == 7
+        assert info["scaling"][0] != 1.0 and info["scaling"][-1] == 1.0
+
+
+@pytest.mark.parametrize("method", ["bt", "flbt", "tlbt"])
+def test_sign_route_matches_oracle_on_chain(method):
+    # the Kronecker oracle caps N at 60, so chain(20) (N = 40) stands in for
+    # the larger chains; the last step is thin here too
+    real = slt.first_companion(slt.generate_chain(20))
+    if method == "bt":
+        rhs = (slt.IndefiniteRhs.definite(real.calB), slt.IndefiniteRhs.definite(real.calC.T))
+        pair = slt.infinite_gramians(real)
+    elif method == "flbt":
+        band = slt.FrequencyBand([(0.05, 0.3)])
+        rhs = slt.freq_limited_rhs(real, band)
+        pair = slt.frequency_limited_gramians(real, band)
+    else:
+        window = slt.TimeWindow(0.0, 20.0)
+        rhs = slt.time_limited_rhs(real, window)
+        pair = slt.time_limited_gramians(real, window)
+    assert pair.info["thin_last"] is True
+    Pref = solve_lyap_dense_oracle(real.calA, real.calE, rhs[0].dense())
+    Qref = solve_lyap_dense_oracle(real.calA.T, real.calE.T, rhs[1].dense())
+    for factor, ref in ((pair.controllability, Pref), (pair.observability, Qref)):
+        assert spla.norm(factor.matrix() - ref) <= 1e-9 * spla.norm(ref)
+
+
 def test_sign_dimension_checks():
     one = np.array([[1.0]])
     with pytest.raises(errors.DimensionMismatch):
@@ -148,6 +209,10 @@ def test_sign_dimension_checks():
         slt.solve_lyap_sign_dual(-one,
                                  slt.IndefiniteRhs.definite(np.ones((2, 1))),
                                  slt.IndefiniteRhs.definite(one))
+    with pytest.raises(errors.DimensionMismatch):  # no state
+        slt.solve_lyap_sign_dual(np.zeros((0, 0)),
+                                 slt.IndefiniteRhs.definite(np.zeros((0, 1))),
+                                 slt.IndefiniteRhs.definite(np.zeros((0, 1))))
 
 
 # -------------------------------------------------------------- dense oracle

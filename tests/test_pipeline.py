@@ -124,10 +124,14 @@ _WINDOW = slt.TimeWindow(0.0, 1.0)
     dict(method="bt", gamma=0.1),
     dict(realization="dissipative", j="neg_k"),
     dict(realization="dissipative", j=np.eye(4)),
+    dict(hybrid=(np.array([-0.1, 1.0]), 1e-12)),
+    dict(hybrid=(np.array([[0.1, 1.0]]), 1e-12)),
+    dict(hybrid=("abc", 1e-12)),
 ], ids=["hybrid-string", "hybrid-tol-string", "band-list", "window-tuple",
         "band-with-bt", "window-with-flbt", "hybrid-tol-nan", "hybrid-tol-one",
         "gamma-negative-with-companion", "gamma-with-companion",
-        "j-with-dissipative", "j-array-with-dissipative"])
+        "j-with-dissipative", "j-array-with-dissipative",
+        "hybrid-omegas-negative", "hybrid-omegas-2d", "hybrid-omegas-string"])
 def test_config_errors_raise_invalid_params(kwargs, capfd):
     # reduce runs validate first, so a malformed config fails before any work
     # as a config error, not as a bare ValueError, TypeError or AttributeError
