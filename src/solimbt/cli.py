@@ -85,6 +85,7 @@ _CONFIG_FIELDS = ("method", "formula", "alpha", "realization", "j", "gamma",
                   "solver", "modified")
 _CONFIG_KEYS = {"input", "output", "name", "band", "window", "order", "hybrid",
                 *_CONFIG_FIELDS}
+_parser = None  # main's argument parser, built by its first call
 
 
 def _number(value, key, kind=numbers.Real):
@@ -272,11 +273,9 @@ def build_parser():
     g.add_argument("--coupling-damping", type=float, default=5.0)
     g.add_argument("--name", default="chain")
     g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_generate)
 
     r = sub.add_parser("reduce", help="run a reduction job from a JSON config")
     r.add_argument("--config", required=True)
-    r.set_defaults(func=cmd_reduce)
 
     a = sub.add_parser("analyze", help="frequency-domain error sweep")
     a.add_argument("--original", required=True)
@@ -288,7 +287,6 @@ def build_parser():
     a.add_argument("--band", help="interval list 'a,b[;c,d]' in --unit")
     a.add_argument("--out", required=True)
     a.add_argument("--summary")
-    a.set_defaults(func=cmd_analyze)
 
     s = sub.add_parser("simulate", help="time-domain response")
     s.add_argument("--model", required=True)
@@ -304,18 +302,18 @@ def build_parser():
     s.add_argument("--window", help="'t0,tf' for local error maxima")
     s.add_argument("--out", required=True)
     s.add_argument("--summary")
-    s.set_defaults(func=cmd_simulate)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
+    global _parser
+    _parser = _parser or build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
+    try:  # looked up per call, so a rebound cmd_* runs
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigCategory as exc:
         print(f"configuration error: {exc}", file=_sys.stderr)
         return 2

@@ -24,7 +24,7 @@ from .matfun import FrequencyBand, TimeWindow
 from .system import (
     SecondOrderSystem,
     _dense,
-    _dual_directions,
+    _dual_blocks,
     check_stability,
     eval_transfer,
     first_companion,
@@ -93,6 +93,15 @@ def hybrid_prereduce(sys, omegas, tol=HYBRID_TOL):
     point, LAPACK's band LU for a banded pattern and SuperLU otherwise);
     the pre-reduced model is dense.
 
+    ``V`` grows point by point: :func:`_cgs2` projects a point's ``2m + 2p``
+    directions out of ``V``; the residual's singular directions above
+    ``1e-3 tol`` times the largest block Frobenius norm so far are projected
+    again and join ``V`` unless less than half of one is left (rounding).
+    One SVD of the points' coefficients in ``V`` keeps the singular values
+    above ``tol`` times the largest, the rank rule of ``scipy.linalg.orth(...,
+    rcond=tol)``, in ``O(n k r)`` flops and ``O(n r + r k)`` memory for ``k``
+    directions of rank ``r``, not an ``O(n k^2)`` SVD of all of them.
+
     Returns ``(pre_sys, V)``.
 
     Raises
@@ -100,10 +109,28 @@ def hybrid_prereduce(sys, omegas, tol=HYBRID_TOL):
     SingularShiftedSystem
         If a sample point coincides with a system pole.
     """
-    omegas = _sample_frequencies(omegas)
-    V = spla.orth(_dual_directions(sys, 1j * omegas, SingularShiftedSystem),
-                  rcond=tol)
+    coefs, scale, V = [], 0.0, np.empty((sys.n, 0))
+    for D in _dual_blocks(sys, 1j * _sample_frequencies(omegas), SingularShiftedSystem):
+        Y, R = _cgs2(V, D)
+        U, s, Wt = spla.svd(R, full_matrices=False, check_finite=False)
+        scale = max(scale, np.linalg.norm(D))
+        C = (s[:, None] * Wt)[:np.count_nonzero(s[:sys.n - V.shape[1]] > 1e-3 * tol * scale)]
+        Z, R = _cgs2(V, U[:, :len(C)])  # U may lean into V by rounding
+        U, s, Wt = spla.svd(R, full_matrices=False, check_finite=False)
+        coefs.append(np.vstack([Y + Z @ C, (s[:, None] * Wt @ C)[s >= 0.5]]))
+        V = np.hstack([V, U[:, s >= 0.5]])
+    P, sig, _ = spla.svd(np.hstack([np.pad(C, ((0, V.shape[1] - len(C)), (0, 0)))
+                                    for C in coefs]), full_matrices=False)
+    V = V @ P[:, sig > tol * sig[:1]]
     return balancing.apply_projection(sys, V, V), V
+
+
+def _cgs2(V, X):
+    """``(Y, R)``, ``X = V Y + R``: classical Gram-Schmidt, run twice (CGS2)."""
+    Y = V.T @ X
+    R = X - V @ Y
+    Z = V.T @ R
+    return Y + Z, R - V @ Z
 
 
 @dataclass

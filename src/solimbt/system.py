@@ -16,10 +16,13 @@ realization whose symmetric part is definite.
 loaded bundles are); the first-order realizations built on them are dense.
 :func:`_shifted_solves` alone factors ``s^2 M + s E + K`` point by point:
 LAPACK ``gbtrf`` when a sparse pattern is banded, SuperLU for any other
-sparse pattern, LAPACK ``getrf``/``gesv`` when dense.  :func:`_lu` picks
-SuperLU or LAPACK for the one-off factorizations of the simulation step
-matrix and ``M``, and :func:`simulate` steps a sparse model one step at a
-time and a small dense one a group of steps per product.
+sparse pattern, LAPACK ``getrf``/``gesv`` when dense.  :func:`_dual_blocks`
+hands on one point's ``2m + 2p`` directions at a time, so the hybrid
+pre-reduction grows its basis of rank ``r`` from ``k`` of them in ``O(n k r)``
+flops and ``O(n r + r k)`` memory, under the rank rule of ``scipy.linalg.orth``.
+:func:`_lu` picks SuperLU or LAPACK for the one-off factorizations of the
+simulation step matrix and ``M``, and :func:`simulate` steps a sparse model
+one step at a time and a small dense one a group of steps per product.
 """
 
 import math
@@ -604,17 +607,19 @@ def _gesv_or_none(A, B):
         return None
 
 
-def _dual_directions(obj, points, error):
-    """The real block ``[X.real, X.imag, D.real, D.imag]`` per point of
-    :func:`_shifted_solves` with ``dual``, whose span is closed under
+def _dual_blocks(obj, points, error):
+    """Yields, per point of :func:`_shifted_solves` with ``dual``, the real
+    block ``[X.real, X.imag, D.real, D.imag]``, whose span is closed under
     conjugation; raises ``error`` at the first point that is (near) a pole."""
-    cols = []
     for s, XD in zip(points, _shifted_solves(obj, points, dual=True)):
         if XD is None:
             raise error(f"s={s} is (near) a pole")
-        for blk in XD:
-            cols += [blk.real, blk.imag]
-    return np.hstack(cols)
+        yield np.hstack([part for blk in XD for part in (blk.real, blk.imag)])
+
+
+def _dual_directions(obj, points, error):
+    """The blocks of :func:`_dual_blocks` side by side."""
+    return np.hstack(list(_dual_blocks(obj, points, error)))
 
 
 def _output_map(obj, s):

@@ -434,6 +434,23 @@ def test_argparse_exit_codes():
     assert main(["generate", "-h"]) == 0
 
 
+def test_main_builds_the_parser_once_and_dispatches_per_call(tmp_path, monkeypatch):
+    # the first call builds the parser and later calls reuse it; the handler
+    # is looked up by sub-command name per call, so one rebound after the
+    # first call (as a tracer or a test rebinds cli.cmd_*) is the one that runs
+    monkeypatch.setattr(cli, "_parser", None)
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    model = str(tmp_path / "m")
+    assert main(["generate", "--n", "4", "--out", model]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_generate", lambda args: seen.append(args.n) or 7)
+    assert main(["generate", "--n", "5", "--out", model]) == 7
+    assert main(["no-such-command"]) == 2
+    assert len(built) == 1 and seen == [5]
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "solimbt.cli", "generate", "--n", "4",

@@ -73,6 +73,48 @@ def test_hybrid_prereduce_pole_sparse():
             slt.hybrid_prereduce(undamped, np.array([0.5, 1.0]))
 
 
+def test_hybrid_prereduce_decomposes_one_point_at_a_time(monkeypatch):
+    # the basis grows point by point: on chain(1200) with 200 points every
+    # SVD or QR of an n-row block is at most one point's 2m + 2p columns
+    # wide, and the one other SVD is that of the r0 x k coefficients
+    sys = slt.generate_chain(1200)
+    shapes = []
+    for name in ("svd", "qr"):
+        def recorded(a, *args, _fn=getattr(spla, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(spla, name, recorded)
+    pre, _ = slt.hybrid_prereduce(sys, np.logspace(-2, 1, 200))
+    width = 2 * (sys.m + sys.p)
+    tall = [cols for rows, cols in shapes if rows == sys.n]
+    rest = [shape for shape in shapes if shape[0] != sys.n]
+    assert len(tall) >= 200 and max(tall) <= width
+    assert len(rest) == 1 and pre.n <= rest[0][0] < sys.n and rest[0][1] == 200 * width
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-15])
+def test_hybrid_prereduce_basis_stays_orthonormal(tol):
+    # 100 points on chain(100) add directions a little above rounding at
+    # many points; a basis that takes them as the residual's SVD gives them
+    # loses its orthogonality within a dozen points
+    sys = slt.generate_chain(100)
+    pre, V = slt.hybrid_prereduce(sys, np.logspace(-3, 1, 100), tol)
+    assert_allclose(V.T @ V, np.eye(pre.n), atol=1e-12)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_hybrid_prereduce_without_inputs_or_outputs(sparse):
+    # zero B_u, C_p and C_v give no direction, so the pre-reduced model has
+    # no state: DimensionMismatch, as from make_second_order
+    n = 4
+    mats = [np.eye(n), np.eye(n), 2.0 * np.eye(n)]
+    if sparse:
+        mats = [scipy.sparse.csc_array(A) for A in mats]
+    sys = slt.make_second_order(*mats, np.zeros((n, 1)), np.zeros((2, n)), np.zeros((2, n)))
+    with pytest.raises(errors.DimensionMismatch):
+        slt.hybrid_prereduce(sys, np.array([0.5, 1.0]))
+
+
 def test_config_validation():
     band = slt.FrequencyBand([(0.1, 1.0)])
     win = slt.TimeWindow(0.0, 1.0)

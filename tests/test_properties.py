@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 import solimbt as slt
 from solimbt import matfun, mmio
-from solimbt.system import _rcond
+from solimbt.errors import SingularShiftedSystem
+from solimbt.system import _dual_directions, _rcond
 
-from helpers import random_second_order, rhs_blocks, solve_lyap_dense_oracle, stable_generic
+from helpers import (random_second_order, random_spd, rhs_blocks, solve_lyap_dense_oracle,
+                     stable_generic)
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None,
                          max_examples=60)
@@ -165,6 +167,48 @@ def test_companion_and_dissipative_realizations_agree(sys, omegas):
     obs = slt.infinite_gramians(diss).observability
     Q = slt.GramianFactor(slt.gramian_backtransform(obs.Z, sys, diss.gamma), obs.Y)
     assert _rel(Q.matrix(), slt.infinite_gramians(comp).observability.matrix()) <= 1e-8
+
+
+@st.composite
+def partly_hidden_systems(draw):
+    """Random systems whose inputs and outputs reach ``live`` of their
+    ``live + hidden`` states, so the interpolation directions have singular
+    values at rounding level as well; a dense system hides those states by
+    an orthogonal change of coordinates, a CSC one by a permutation."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    live, hidden = draw(st.integers(1, 10)), draw(st.integers(0, 6))
+    m, p = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    sys = random_second_order(rng, live, m=m, p=p)
+    mats = [spla.block_diag(A, random_spd(rng, hidden) if hidden else np.zeros((0, 0)))
+            for A in (sys.M, sys.E, sys.K)]
+    B = np.vstack([sys.B_u, np.zeros((hidden, m))])
+    C_p, C_v = (np.hstack([C, np.zeros((p, hidden))]) for C in (sys.C_p, sys.C_v))
+    if draw(st.booleans()):
+        Q = np.eye(live + hidden)[:, rng.permutation(live + hidden)]
+        mats = [scipy.sparse.csc_array(Q.T @ A @ Q) for A in mats]
+    else:
+        Q = spla.qr(rng.standard_normal((live + hidden,) * 2))[0]
+        mats = [Q.T @ A @ Q for A in mats]
+    return slt.make_second_order(*mats, Q.T @ B, C_p @ Q, C_v @ Q)
+
+
+@DETERMINISTIC
+@given(sys=partly_hidden_systems(), omegas=FREQS, tol=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]))
+def test_hybrid_basis_matches_orth_of_all_directions(sys, omegas, tol):
+    # the basis grown point by point against one SVD of every direction:
+    # orthonormal and as close to the directions as the rank cut allows, and,
+    # where no singular value lies within 10^1.5 of the cut, of the same
+    # order, for unique and for repeated sample frequencies alike
+    omegas = np.array(omegas)
+    D = _dual_directions(sys, 1j * omegas, SingularShiftedSystem)
+    _, V = slt.hybrid_prereduce(sys, omegas, tol)
+    sv = spla.svdvals(D)
+    assert np.max(np.abs(V.T @ V - np.eye(V.shape[1]))) <= 1e-12
+    assert np.linalg.norm(D - V @ (V.T @ D), 2) <= 10 * tol * sv[0]
+    cut = tol * sv[0]
+    if not np.any((sv > cut / 10**1.5) & (sv < cut * 10**1.5)):
+        _, V_twice = slt.hybrid_prereduce(sys, np.concatenate([omegas, omegas]), tol)
+        assert V.shape[1] == V_twice.shape[1] == spla.orth(D, rcond=tol).shape[1]
 
 
 @st.composite
