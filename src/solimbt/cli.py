@@ -175,6 +175,7 @@ def cmd_reduce(args):
         "truncated_sum": _json_safe(rom.truncated_tail),
         "timings": {k: round(v, 6) for k, v in rom.details["timings"].items()},
         "gramian_info": _json_safe(rom.details["gramian_info"]),
+        "prereduced_order": rom.details.get("prereduced_order"),
         "wall_time_s": round(wall, 6),
     }
     with open(f"{out}/report.json", "w") as fh:

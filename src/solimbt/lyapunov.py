@@ -14,10 +14,9 @@ both, and a certified last step needs only ``getrs`` solves of the factors.
 Right-hand sides are kept in factored indefinite form ``G S G^T``, which is
 exactly what the limited balancing variants produce.
 
-The rational-Krylov projection solver covers problems where dense sign
-iteration is too expensive: it Galerkin-projects the realization onto the
-span of shifted solves for both sides, builds the limited right-hand sides
-on the projected realization with the same builders as the sign route, and
+The projection solver Galerkin-projects the realization onto one basis of
+shifted solves for both sides (``diag(V, V)`` from the ``n x n`` solves of
+a second-order parent; Bai & Su, SIAM J. Sci. Comput. 26(5), 2005) and
 runs the sign iteration there.
 """
 
@@ -25,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as spla
+from scipy.sparse import issparse
 
 from .errors import (
     DimensionMismatch,
@@ -33,7 +33,7 @@ from .errors import (
     UnstablePencil,
     UnstableProjection,
 )
-from .system import _dual_directions
+from .system import FirstOrderRealization, _dual_blocks
 
 # Fixed settings of the sign iteration: it stops once the distance
 # ``||X_k + I||_F / sqrt(N)`` of the iterate from its limit ``-I`` is at
@@ -43,10 +43,10 @@ SIGN_TOL = 1e-12
 SIGN_MAXITER = 100
 COMPRESS_TOL = 1e-14
 
-# Fixed settings of the projection solver: PROJECTION_SHIFTS shift
-# frequencies, added to the subspace PROJECTION_BATCH at a time.
+# Fixed settings of the projection solver: PROJECTION_SHIFTS default shifts,
+# and HYBRID_TOL, its (and the hybrid pre-reduction's default) rank cut.
 PROJECTION_SHIFTS = 40
-PROJECTION_BATCH = 8
+HYBRID_TOL = 1e-12
 
 
 @dataclass
@@ -247,70 +247,90 @@ def solve_lyap_pencil(real, rhs_c, rhs_o):
             info)
 
 
-def _default_shifts(band, window, real):
-    """Frequency range ``(lo, hi)`` of the default shifts."""
+def _default_shifts(band, window, obj):
+    """The ``PROJECTION_SHIFTS`` default shifts (rad/s) of a realization or a
+    second-order system (as its identity-coupled companion pencil), spaced
+    logarithmically over the band hull, over ``[1/tf, 10 N/tf]`` for a
+    window, or else over ``10^{+-3} ||calA||_F / ||calE||_F``."""
+    first = isinstance(obj, FirstOrderRealization)
     if band is not None:
         lo, hi = band.hull
-        return (hi * 1e-4 if lo <= 0.0 else lo), hi
-    if window is not None and np.isfinite(window.tf):
-        return 1.0 / window.tf, 10.0 * real.N / window.tf
-    scale = spla.norm(real.calA) / spla.norm(real.calE)
-    return 1e-3 * scale, 1e3 * scale
+        lo = hi * 1e-4 if lo <= 0.0 else lo
+    elif window is not None and np.isfinite(window.tf):
+        lo, hi = 1.0 / window.tf, 10.0 * (obj.N if first else 2 * obj.n) / window.tf
+    else:
+        sq = [np.sum(np.square(A.data if issparse(A) else A)) for A in
+              ((obj.calA, obj.calE) if first else (obj.M, obj.E, obj.K))]
+        scale = np.sqrt(sq[0] / sq[1] if first else (obj.n + sq[1] + sq[2]) / (obj.n + sq[0]))
+        lo, hi = 1e-3 * scale, 1e3 * scale
+    return np.logspace(np.log10(lo), np.log10(hi), PROJECTION_SHIFTS)
+
+
+def _dual_basis(blocks, tol):
+    """Orthonormal basis ``V`` of the real blocks of ``system._dual_blocks``,
+    grown one block (point) at a time: :func:`_cgs2` projects a block out of
+    ``V``, and the residual's singular directions above ``1e-3 tol`` times
+    the largest block norm so far are projected again and join ``V`` unless
+    less than half of one is left (rounding).  One SVD of the coefficients
+    then applies the rank rule of ``scipy.linalg.orth(np.hstack(blocks),
+    rcond=tol)`` in ``O(n k r)`` flops for ``k`` directions of rank ``r``.
+    Entries below the smallest normal float, such as a chain's directions
+    decay into, are zeroed in each block and new column of ``V``."""
+    tiny = np.finfo(float).tiny
+    coefs, scale, V = [], 0.0, None
+    for D in blocks:
+        D[np.abs(D) < tiny] = 0.0
+        V = np.empty((len(D), 0)) if V is None else V
+        Y, R = _cgs2(V, D)
+        U, s, Wt = spla.svd(R, full_matrices=False, check_finite=False)
+        scale = max(scale, np.linalg.norm(D))
+        C = (s[:, None] * Wt)[:np.count_nonzero(s[:len(V) - V.shape[1]] > 1e-3 * tol * scale)]
+        if not len(C):
+            coefs.append(Y)
+            continue
+        Z, R = _cgs2(V, U[:, :len(C)])  # U may lean into V by rounding
+        U, s, Wt = spla.svd(R, full_matrices=False, check_finite=False)
+        new = U[:, s >= 0.5]
+        new[np.abs(new) < tiny] = 0.0
+        coefs.append(np.vstack([Y + Z @ C, (s[:, None] * Wt @ C)[s >= 0.5]]))
+        V = np.hstack([V, new])
+    P, sig, _ = spla.svd(np.hstack([np.pad(C, ((0, V.shape[1] - len(C)), (0, 0)))
+                                    for C in coefs]), full_matrices=False)
+    return V @ P[:, sig > tol * sig[:1]]
+
+
+def _cgs2(V, X):
+    """``(Y, R)``, ``X = V Y + R``: classical Gram-Schmidt, run twice (CGS2)."""
+    Y = V.T @ X
+    R = X - V @ Y
+    Z = V.T @ R
+    return Y + Z, R - V @ Z
 
 
 def solve_lyap_projection_dual(real, make_rhs, band=None, window=None):
-    """Rational-Krylov projection solver for the dual Lyapunov pair.
+    """``(P, Q, info)`` of the dual Lyapunov pair by projection.
 
-    Builds one orthonormal basis ``V`` from the solves
-    ``(i w calE - calA)^{-1} calB`` and ``(i w calE - calA)^{-H} calC^T``
-    (one LU per shift serves both), Galerkin-projects the realization to
-    ``(V^T calE V, V^T calA V, V^T calB, calC V)``, builds the right-hand
-    sides on it with ``make_rhs(small) -> (rhs_c, rhs_o)`` and solves the
-    small pair with :func:`solve_lyap_pencil`.  The ``PROJECTION_SHIFTS``
-    shift frequencies (rad/s) are spread logarithmically over the band hull,
-    over ``[1/tf, 10 N/tf]`` for a window, or else over ``10^{+-3}`` times
-    the pencil scale ``||calA||_F / ||calE||_F``.  The subspace grows in
-    batches of ``PROJECTION_BATCH`` shifts until the traces of both Gramians
-    change by at most 1e-8 relatively, or until the basis spans the whole
-    space.
-
-    Returns
-    -------
-    (P, Q, info)
-        :class:`GramianFactor` solutions and a dict with the subspace
-        dimension ``dim`` and the ``trace_history`` of ``(tr P, tr Q)``.
-
-    Raises
-    ------
-    UnstableProjection
-        If the projected pencil is not c-stable (retry with the strictly
-        dissipative realization).
-    NotConverged
-        If the shift budget is exhausted before the traces settle.
-    """
-    lo, hi = _default_shifts(band, window, real)
-    shifts = np.logspace(np.log10(lo), np.log10(hi), PROJECTION_SHIFTS)
-
-    raw = []
-    trace_history = []
-    for start in range(0, shifts.size, PROJECTION_BATCH):
-        raw.append(_dual_directions(real, 1j * shifts[start:start + PROJECTION_BATCH],
-                                    UnstablePencil))
-        V = spla.orth(np.hstack(raw))
-        small = real.project(V, V)
-        if np.max(small.pencil_eigenvalues().real) >= 0.0:
-            raise UnstableProjection(
-                "projected pencil not c-stable; retry with the strictly "
-                "dissipative realization")
-        Ps, Qs, _ = solve_lyap_pencil(small, *make_rhs(small))
-        traces = np.array([Ps.trace(), Qs.trace()])
-        settled = bool(trace_history) and np.all(
-            np.abs(traces - trace_history[-1]) <= 1e-8 * np.abs(traces))
-        trace_history.append(traces)
-        if settled or V.shape[1] >= real.N:
-            break
-    else:
-        raise NotConverged("projection subspace exhausted before the traces settled")
-
-    info = {"dim": V.shape[1], "trace_history": trace_history}
-    return GramianFactor(V @ Ps.Z, Ps.Y), GramianFactor(V @ Qs.Z, Qs.Y), info
+    Builds ``V`` by :func:`_dual_basis` (rank cut ``HYBRID_TOL``) at the
+    :func:`_default_shifts` of ``real``.  A realization with a second-order
+    ``parent`` takes the parent's ``n x n`` solves and is projected by
+    ``Vb = diag(V, V)``, which gives the same kind of realization (coupling
+    block ``V^T J V``, same ``gamma``) of ``apply_projection(parent, V, V)``;
+    any other takes its own solves and ``Vb = V``.  ``make_rhs(small) ->
+    (rhs_c, rhs_o)`` builds the right-hand sides on the projection
+    ``small``, :func:`solve_lyap_pencil` solves there, both factors are
+    lifted by ``Vb``, and ``info`` adds the projected dimension ``dim``.
+    Raises ``UnstablePencil`` if a shift is (near) a pole, and
+    ``UnstableProjection`` if the projected pencil is not c-stable (retry
+    with the strictly dissipative realization)."""
+    shifts = 1j * _default_shifts(band, window, real)
+    V = _dual_basis(_dual_blocks(real.parent or real, shifts, UnstablePencil), HYBRID_TOL)
+    if real.parent is not None:
+        V = spla.block_diag(V, V)
+    small = real.project(V, V)
+    if np.max(small.pencil_eigenvalues().real) >= 0.0:
+        raise UnstableProjection(
+            "projected pencil not c-stable; retry with the strictly "
+            "dissipative realization")
+    Ps, Qs, info = solve_lyap_pencil(small, *make_rhs(small))
+    return (GramianFactor(V @ Ps.Z, Ps.Y), GramianFactor(V @ Qs.Z, Qs.Y),
+            {"dim": V.shape[1], **info})

@@ -15,11 +15,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as spla
 
 from . import balancing, gramians
 from .errors import InvalidParams, SingularShiftedSystem
-from .lyapunov import GramianFactor
+from .lyapunov import HYBRID_TOL, GramianFactor, _default_shifts, _dual_basis
 from .matfun import FrequencyBand, TimeWindow
 from .system import (
     SecondOrderSystem,
@@ -35,7 +34,6 @@ from .system import (
 )
 
 METHODS = ("bt", "flbt", "tlbt")
-HYBRID_TOL = 1e-12  # default relative rank cut of the pre-reduction basis
 
 
 def alpha_shift(sys, alpha):
@@ -84,23 +82,14 @@ def hybrid_prereduce(sys, omegas, tol=HYBRID_TOL):
     Collects input directions ``(s^2 M + s E + K)^{-1} B_u`` and dual output
     directions at ``s = i omega`` for every sample frequency, splits them
     into real and imaginary parts (closing the set under conjugation), and
-    orthonormalizes with a rank cut at ``tol`` relative.  The pre-reduced
-    model is the Galerkin projection ``apply_projection(sys, V, V)``: the
-    congruence ``V^T (.) V`` preserves symmetry and definiteness, and the
-    pre-reduced model interpolates the original transfer function at every
-    sample point.
+    orthonormalizes them point by point with a rank cut at ``tol`` relative
+    (``lyapunov._dual_basis``).  The pre-reduced model is the Galerkin
+    projection ``apply_projection(sys, V, V)``: the congruence ``V^T (.) V``
+    preserves symmetry and definiteness, and the pre-reduced model
+    interpolates the original transfer function at every sample point.
     Sparse ``M, E, K`` stay sparse here (one factorization per sample
     point, LAPACK's band LU for a banded pattern and SuperLU otherwise);
     the pre-reduced model is dense.
-
-    ``V`` grows point by point: :func:`_cgs2` projects a point's ``2m + 2p``
-    directions out of ``V``; the residual's singular directions above
-    ``1e-3 tol`` times the largest block Frobenius norm so far are projected
-    again and join ``V`` unless less than half of one is left (rounding).
-    One SVD of the points' coefficients in ``V`` keeps the singular values
-    above ``tol`` times the largest, the rank rule of ``scipy.linalg.orth(...,
-    rcond=tol)``, in ``O(n k r)`` flops and ``O(n r + r k)`` memory for ``k``
-    directions of rank ``r``, not an ``O(n k^2)`` SVD of all of them.
 
     Returns ``(pre_sys, V)``.
 
@@ -109,28 +98,9 @@ def hybrid_prereduce(sys, omegas, tol=HYBRID_TOL):
     SingularShiftedSystem
         If a sample point coincides with a system pole.
     """
-    coefs, scale, V = [], 0.0, np.empty((sys.n, 0))
-    for D in _dual_blocks(sys, 1j * _sample_frequencies(omegas), SingularShiftedSystem):
-        Y, R = _cgs2(V, D)
-        U, s, Wt = spla.svd(R, full_matrices=False, check_finite=False)
-        scale = max(scale, np.linalg.norm(D))
-        C = (s[:, None] * Wt)[:np.count_nonzero(s[:sys.n - V.shape[1]] > 1e-3 * tol * scale)]
-        Z, R = _cgs2(V, U[:, :len(C)])  # U may lean into V by rounding
-        U, s, Wt = spla.svd(R, full_matrices=False, check_finite=False)
-        coefs.append(np.vstack([Y + Z @ C, (s[:, None] * Wt @ C)[s >= 0.5]]))
-        V = np.hstack([V, U[:, s >= 0.5]])
-    P, sig, _ = spla.svd(np.hstack([np.pad(C, ((0, V.shape[1] - len(C)), (0, 0)))
-                                    for C in coefs]), full_matrices=False)
-    V = V @ P[:, sig > tol * sig[:1]]
+    V = _dual_basis(_dual_blocks(sys, 1j * _sample_frequencies(omegas),
+                                 SingularShiftedSystem), tol)
     return balancing.apply_projection(sys, V, V), V
-
-
-def _cgs2(V, X):
-    """``(Y, R)``, ``X = V Y + R``: classical Gram-Schmidt, run twice (CGS2)."""
-    Y = V.T @ X
-    R = X - V @ Y
-    Z = V.T @ R
-    return Y + Z, R - V @ Z
 
 
 @dataclass
@@ -143,9 +113,10 @@ class ReductionConfig:
     ``fixed_order`` is set.  ``realization`` is ``"companion"`` (coupling
     block ``j``: ``"identity"``, ``"neg_k"`` or an explicit ``n x n``
     matrix) or ``"dissipative"`` (optional ``gamma``; the coupling block is
-    then implicitly the identity).  ``solver`` is ``"sign"`` or
-    ``"projection"``.  ``hybrid`` holds ``(omegas, tol)`` sample frequencies
-    for the pre-reduction step, or ``None``.
+    then implicitly the identity).  ``hybrid`` holds ``(omegas, tol)``
+    sample frequencies for the pre-reduction step, or ``None``.  ``solver``
+    is ``"sign"`` or ``"projection"``: pre-reduce (at the ``hybrid`` points,
+    else at ``lyapunov._default_shifts``), then run the sign solver.
 
     :meth:`validate` (which :func:`reduce` calls) raises ``InvalidParams``
     unless ``band`` is a :class:`~solimbt.matfun.FrequencyBand`, given
@@ -255,13 +226,16 @@ def reduce(sys, config):
     work = sys
     if config.alpha > 0.0:
         work = alpha_shift(work, config.alpha)
+    hybrid = config.hybrid
+    if hybrid is None and config.solver == "projection":
+        hybrid = (_default_shifts(config.band, config.window, work), HYBRID_TOL)
     V_pre = None
-    if config.hybrid is not None:
-        omegas, pre_tol = config.hybrid
+    if hybrid is not None:
+        omegas, pre_tol = hybrid
         t0 = time.perf_counter()
         work, V_pre = hybrid_prereduce(work, omegas, tol=pre_tol)
         timings["prereduce"] = time.perf_counter() - t0
-        if config.band is not None:
+        if config.hybrid is not None and config.band is not None:
             lo, hi = config.band.hull
             if min(omegas) >= lo and max(omegas) <= hi:
                 warnings.warn(
@@ -281,14 +255,14 @@ def reduce(sys, config):
     if config.modified:
         pair = gramians.modified_gramians(real, band=config.band, window=config.window)
     elif config.method == "bt":
-        pair = gramians.infinite_gramians(real, solver=config.solver)
+        pair = gramians.infinite_gramians(real)
     elif config.method == "flbt":
-        pair = gramians.frequency_limited_gramians(real, config.band,
-                                                   solver=config.solver)
+        pair = gramians.frequency_limited_gramians(real, config.band)
     else:
-        pair = gramians.time_limited_gramians(real, config.window,
-                                              solver=config.solver)
+        pair = gramians.time_limited_gramians(real, config.window)
     timings["gramians"] = time.perf_counter() - t0
+    if config.solver == "projection":  # the info of solve_lyap_projection_dual
+        pair.info = {"dim": real.N, **pair.info}
 
     if config.realization == "dissipative":
         obs = pair.observability

@@ -176,6 +176,8 @@ class FirstOrderRealization:
 
     The four matrices are always dense arrays.  ``gamma`` holds the shift of
     a :func:`strictly_dissipative` realization and is ``None`` otherwise.
+    ``parent`` is the :class:`SecondOrderSystem` (state ``[x; x']``) that
+    :func:`first_companion` or :func:`strictly_dissipative` realized.
 
     Treat instances as immutable: the realizations that solimbt builds
     store read-only matrices.  Each instance caches its pencil eigenvalues,
@@ -188,6 +190,7 @@ class FirstOrderRealization:
     calB: np.ndarray
     calC: np.ndarray
     gamma: float | None = None
+    parent: SecondOrderSystem | None = field(default=None, repr=False, compare=False)
     _eigs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _standard: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _solve: object = field(default=None, init=False, repr=False, compare=False)
@@ -330,7 +333,7 @@ def first_companion(sys, j="identity"):
         1-norm condition number is below ``1e-14`` (the test
         :func:`make_second_order` applies to ``M``).
     """
-    sys = _dense(sys)
+    parent, sys = sys, _dense(sys)
     n = sys.n
     if isinstance(j, str):
         if j == "identity":
@@ -353,7 +356,7 @@ def first_companion(sys, j="identity"):
     calA = np.block([[np.zeros((n, n)), J], [-sys.K, -sys.E]])
     calB = np.vstack([np.zeros((n, sys.m)), sys.B_u])
     calC = np.hstack([sys.C_p, sys.C_v])
-    return FirstOrderRealization(*map(_frozen, (calE, calA, calB, calC)))
+    return FirstOrderRealization(*map(_frozen, (calE, calA, calB, calC)), parent=parent)
 
 
 def _check_spd(A, name, tol=1e-10):
@@ -400,7 +403,7 @@ def strictly_dissipative(sys, gamma=None):
     GammaOutOfRange
         If an explicit shift lies outside the open admissible interval.
     """
-    sys = _dense(sys)
+    parent, sys = sys, _dense(sys)
     _check_spd(sys.M, "M")
     _check_spd(sys.E, "E")
     _check_spd(sys.K, "K")
@@ -415,7 +418,8 @@ def strictly_dissipative(sys, gamma=None):
     calA = np.block([[-g * K, K - g * E], [-K, -E + g * M]])
     calB = np.vstack([g * sys.B_u, sys.B_u])
     calC = np.hstack([sys.C_p, sys.C_v])
-    return FirstOrderRealization(*map(_frozen, (calE, calA, calB, calC)), gamma=g)
+    return FirstOrderRealization(*map(_frozen, (calE, calA, calB, calC)), gamma=g,
+                                 parent=parent)
 
 
 def dissipative_backtransform_matrix(sys, gamma):

@@ -154,17 +154,19 @@ def test_reduce_job(tmp_path, capsys):
 
 
 def test_reduce_job_projection_info(tmp_path):
-    # the projection route's trace history (numpy arrays) reaches report.json
+    # the projection route pre-reduces the model and runs the sign solver on
+    # the small one: report.json holds the pre-reduced order, and the
+    # Gramian info the small realization's dimension and the sign info
     model = str(tmp_path / "model")
     main(["generate", "--n", "12", "--out", model])
     cfg = _write_job(tmp_path / "job.json", input=model, output=str(tmp_path / "rom"),
                      solver="projection", realization="dissipative")
     assert main(["reduce", "--config", str(cfg)]) == 0
-    info = json.loads((tmp_path / "rom" / "report.json").read_text())["gramian_info"]
-    assert 1 <= info["dim"] <= 24
-    history = info["trace_history"]
-    assert history and all(len(t) == 2 and all(isinstance(x, float) for x in t)
-                           for t in history)
+    report = json.loads((tmp_path / "rom" / "report.json").read_text())
+    info = report["gramian_info"]
+    assert 1 <= report["prereduced_order"] <= 12
+    assert info["dim"] == 2 * report["prereduced_order"]
+    assert info["num_iter"] >= 1 and isinstance(info["rel_err"], float)
 
 
 def test_reduce_job_tlbt(tmp_path):

@@ -8,7 +8,7 @@ import scipy.linalg as spla
 from numpy.testing import assert_allclose
 
 import solimbt as slt
-from solimbt import errors, lyapunov
+from solimbt import errors, lyapunov, system
 from solimbt.lyapunov import ldl_compress
 
 from helpers import (SingularOperator, TooLarge, contr_residual, obs_residual,
@@ -268,6 +268,25 @@ def test_projection_companion_realization():
     _assert_pair_matches_oracle(real, P, Q, rtol=1e-7, atol=1e-9)
 
 
+def test_projection_with_a_parent_solves_second_order_systems_only(monkeypatch):
+    # a realization of a second-order system takes its basis from the
+    # parent's n x n shifted solves, never from 2n x 2n first-order ones
+    seen = []
+    solves = system._shifted_solves
+
+    def spy(obj, *args, **kwargs):
+        seen.append(obj)
+        return solves(obj, *args, **kwargs)
+
+    monkeypatch.setattr(system, "_shifted_solves", spy)
+    sys = slt.generate_chain(20)
+    for real in (slt.first_companion(sys), slt.strictly_dissipative(sys)):
+        seen.clear()
+        P, Q, info = slt.solve_lyap_projection_dual(real, _definite_rhs)
+        assert seen == [sys]
+        assert info["dim"] % 2 == 0 and P.Z.shape[0] == Q.Z.shape[0] == real.N
+
+
 def test_projection_band_window_match_sign_route():
     sys = slt.generate_chain(6)
     real = slt.strictly_dissipative(sys)
@@ -292,16 +311,4 @@ def test_projection_unstable_projected_matrix():
                                     np.ones((2, 1)), np.ones((1, 2)))
     with pytest.raises(errors.UnstablePencil):
         slt.solve_lyap_projection_dual(osc, _definite_rhs,
-                                       band=slt.FrequencyBand([(1.0, 2.0)]))
-
-
-def test_projection_shift_budget_exhausted(monkeypatch):
-    # one shift (1, the band's first) spans 4 of 6 dimensions, and one trace
-    # cannot settle
-    monkeypatch.setattr(lyapunov, "PROJECTION_SHIFTS", 1)
-    monkeypatch.setattr(lyapunov, "PROJECTION_BATCH", 1)
-    rng = np.random.default_rng(6)
-    real = stable_generic(rng, 6, m=1, p=1)
-    with pytest.raises(errors.NotConverged):
-        slt.solve_lyap_projection_dual(real, _definite_rhs,
                                        band=slt.FrequencyBand([(1.0, 2.0)]))

@@ -1,6 +1,7 @@
 """Reduction pipeline: shifts, hybrid pre-reduction, reduce(), error reports."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import scipy.sparse
 from numpy.testing import assert_allclose
 
 import solimbt as slt
-from solimbt import errors
+from solimbt import errors, lyapunov, pipeline, system
 from solimbt.system import _dense
 
 from helpers import count_calls, random_second_order
@@ -76,7 +77,8 @@ def test_hybrid_prereduce_pole_sparse():
 def test_hybrid_prereduce_decomposes_one_point_at_a_time(monkeypatch):
     # the basis grows point by point: on chain(1200) with 200 points every
     # SVD or QR of an n-row block is at most one point's 2m + 2p columns
-    # wide, and the one other SVD is that of the r0 x k coefficients
+    # wide and none is empty (most points add no direction), and the one
+    # other SVD is that of the r0 x k coefficients
     sys = slt.generate_chain(1200)
     shapes = []
     for name in ("svd", "qr"):
@@ -88,7 +90,7 @@ def test_hybrid_prereduce_decomposes_one_point_at_a_time(monkeypatch):
     width = 2 * (sys.m + sys.p)
     tall = [cols for rows, cols in shapes if rows == sys.n]
     rest = [shape for shape in shapes if shape[0] != sys.n]
-    assert len(tall) >= 200 and max(tall) <= width
+    assert len(tall) >= 200 and 0 < min(tall) and max(tall) <= width
     assert len(rest) == 1 and pre.n <= rest[0][0] < sys.n and rest[0][1] == 200 * width
 
 
@@ -113,6 +115,94 @@ def test_hybrid_prereduce_without_inputs_or_outputs(sparse):
     sys = slt.make_second_order(*mats, np.zeros((n, 1)), np.zeros((2, n)), np.zeros((2, n)))
     with pytest.raises(errors.DimensionMismatch):
         slt.hybrid_prereduce(sys, np.array([0.5, 1.0]))
+
+
+def test_dual_basis_flushes_subnormals(monkeypatch):
+    # directions that decay along the model into subnormal numbers, as a
+    # long chain's do: those entries are zero in every block and every basis
+    # column that the Gram-Schmidt products see, and the span is kept
+    rng = np.random.default_rng(3)
+    decay = np.logspace(0.0, -320.0, 60)[:, None]
+    blocks = [rng.standard_normal((60, 4)) * decay for _ in range(8)]
+    ref = np.hstack(blocks)
+    tiny = np.finfo(float).tiny
+    assert np.any((ref != 0.0) & (np.abs(ref) < tiny))
+    seen = []
+    cgs2 = lyapunov._cgs2
+
+    def spy(V, X):
+        seen.append(V)
+        return cgs2(V, X)
+
+    monkeypatch.setattr(lyapunov, "_cgs2", spy)
+    V = lyapunov._dual_basis(iter(blocks), 1e-12)
+    for A in seen + blocks:
+        assert not np.any((A != 0.0) & (np.abs(A) < tiny))
+    assert np.linalg.norm(ref - V @ (V.T @ ref)) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_default_shifts_of_a_system_match_its_companion_form():
+    # the shift rule reads a second-order system as its identity-coupled
+    # companion pencil, from the norms of M, E and K, dense or sparse
+    sys = slt.generate_chain(30)
+    real = slt.first_companion(sys)
+    for band, window in ((None, None), (None, slt.TimeWindow(0.0, 25.0)),
+                         (slt.FrequencyBand([(0.0, 0.3)]), None)):
+        ref = lyapunov._default_shifts(band, window, real)
+        assert ref.size == lyapunov.PROJECTION_SHIFTS
+        for obj in (sys, _dense(sys)):
+            assert_allclose(lyapunov._default_shifts(band, window, obj), ref, rtol=1e-13)
+
+
+_PROJECTION_CONFIGS = (
+    dict(method="bt"),
+    dict(method="flbt", band=slt.FrequencyBand([(0.05, 0.3)])),
+    dict(method="tlbt", window=slt.TimeWindow(0.0, 25.0)),
+)
+
+
+@pytest.mark.parametrize("kwargs", _PROJECTION_CONFIGS)
+def test_projection_route_is_hybrid_at_the_default_shifts(kwargs):
+    # solver="projection" is the hybrid route at the projection solver's
+    # shifts, to the last bit; automatic shifts raise no band warning
+    sys = slt.generate_chain(100)
+    cfg = slt.ReductionConfig(solver="projection", **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        proj = slt.reduce(sys, cfg)
+    shifts = lyapunov._default_shifts(cfg.band, cfg.window, sys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # user points spanning the band warn
+        hyb = slt.reduce(sys, replace(cfg, solver="sign",
+                                      hybrid=(shifts, lyapunov.HYBRID_TOL)))
+    assert proj.details["prereduced_order"] == hyb.details["prereduced_order"] < sys.n
+    assert proj.details["gramian_info"]["dim"] == 2 * proj.details["prereduced_order"]
+    for name in ("M", "E", "K", "B_u", "C_p", "C_v"):
+        assert np.array_equal(getattr(proj.system, name), getattr(hyb.system, name))
+
+
+def test_projection_route_never_densifies_the_full_model(monkeypatch):
+    # on a sparse n=2000 chain, solver="projection" makes no dense copy of
+    # the model and factors no 2n x 2n first-order operator
+    sys = slt.generate_chain(2000)
+
+    def forbid(owner, name, bad):
+        fn = getattr(owner, name)
+
+        def guarded(A, *args, **kwargs):
+            assert not bad(A), f"{name} on the full model"
+            return fn(A, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, guarded)
+
+    for owner in (system, pipeline):
+        forbid(owner, "_dense", lambda model: model.n == sys.n)
+    forbid(system, "_getrf", lambda A: A.shape[0] == 2 * sys.n)
+    for kwargs in _PROJECTION_CONFIGS:
+        for realization in ("companion", "dissipative"):
+            rom = slt.reduce(sys, slt.ReductionConfig(
+                solver="projection", realization=realization, **kwargs))
+            assert rom.stable and rom.details["prereduced_order"] < 100
 
 
 def test_config_validation():
